@@ -123,14 +123,17 @@ func main() {
 	if linkmapFile != "" {
 		p.Config.ChannelTelemetry = true
 	}
-	// A Chrome export without a window series has no counter tracks;
-	// default the width so -chrometrace alone yields the load curves
-	// (the stdout time-series table stays tied to an explicit -windows).
+	// One window sampler feeds the -windows table, the -chrometrace
+	// counter tracks and the -live dashboard. The latter two default its
+	// width (the stdout table stays tied to an explicit -windows).
+	// Replications run concurrently and print no series, so they get none.
 	windowsAsked := windows > 0
-	if chromeFile != "" && windows == 0 {
+	if windows == 0 && (chromeFile != "" || live) {
 		windows = core.DefaultWindowCycles
 	}
-	p.WindowCycles = windows
+	if windows > 0 && reps <= 1 {
+		p.Sampler = core.NewWindowSampler(windows, int(total/windows)+2)
+	}
 	p.EngineWorkers = engineWorkers
 	if traceFile != "" {
 		f, err := os.Create(traceFile)
@@ -203,12 +206,12 @@ func main() {
 
 	var res wormmesh.Result
 	cached := false
-	if cache != nil && !heat && !live {
+	if cache != nil && !heat {
 		res, cached = cache.Lookup(p)
 	}
 	if !cached {
 		if live {
-			res, err = runLive(p, windows)
+			res, err = runLive(p, os.Stderr)
 		} else {
 			res, err = wormmesh.Run(p)
 		}
@@ -297,8 +300,13 @@ func main() {
 
 	if windowsAsked {
 		fmt.Println("\ntime series (per window):")
-		for _, w := range res.Windows {
-			fmt.Printf("  %v thr=%.4f\n", w, w.Throughput(st.HealthyNodes))
+		for _, w := range p.Sampler.Since(0) {
+			fmt.Printf("  [%d,%d) gen=%d del=%d lat=%.0f backlog=%d thr=%.4f",
+				w.Start, w.End, w.Generated, w.Delivered, w.AvgLatency, w.InFlight, w.Throughput(st.HealthyNodes))
+			if w.End <= st.EffectiveWarmup {
+				fmt.Print(" warm-up")
+			}
+			fmt.Println()
 		}
 	}
 	if latBreakdown {
@@ -424,10 +432,11 @@ func runReplications(p wormmesh.Params, reps int, sm *metrics.Sweep, manifest *m
 	}
 }
 
-// writeChromeTrace renders the run's flight-recorder history as Chrome
-// trace-event JSON: one service-side span for the whole run (wall
-// clock) carrying every engine event on the cycle timeline, exactly the
-// file GET /traces/{id}.json serves for a meshserve job.
+// writeChromeTrace renders the run's flight-recorder history and window
+// series as Chrome trace-event JSON: one service-side span for the
+// whole run (wall clock) carrying every engine event and window on the
+// cycle timeline, exactly the file GET /traces/{id}.json serves for a
+// meshserve job.
 func writeChromeTrace(path string, p wormmesh.Params, res wormmesh.Result, rec *core.FlightRecorder) error {
 	end := time.Now()
 	tr := trace.New(16)
@@ -436,32 +445,10 @@ func writeChromeTrace(path string, p wormmesh.Params, res wormmesh.Result, rec *
 	root.Set("algorithm", p.Algorithm)
 	root.Set("rate", p.Rate)
 	root.Set("cycles", p.WarmupCycles+p.MeasureCycles)
-	evs := rec.Events()
-	out := make([]trace.EngineEvent, len(evs))
-	for i, e := range evs {
-		out[i] = trace.EngineEvent{
-			Cycle: e.Cycle, Kind: e.Kind, Msg: e.Msg,
-			Src: e.Src, Dst: e.Dst, Node: e.Node,
-			Dir: e.Dir, VC: e.VC, Flit: e.Flit, Cause: e.Cause,
-		}
-	}
-	root.AttachEngine(out)
-	// Window telemetry (-windows) becomes Perfetto counter tracks above
-	// the per-message slices, on the same cycle timeline.
-	if len(res.Windows) > 0 {
-		healthy := res.Stats.HealthyNodes
-		pts := make([]trace.WindowPoint, len(res.Windows))
-		for i, w := range res.Windows {
-			pts[i] = trace.WindowPoint{
-				Seq: int64(i), Start: w.Start, End: w.End,
-				Generated: w.Generated, Delivered: w.Delivered,
-				DeliveredFlits: w.Flits, Killed: w.Killed,
-				InFlight:   w.InFlight,
-				AvgLatency: w.AvgLatency, Throughput: w.Throughput(healthy),
-			}
-		}
-		root.AttachWindows(pts)
-	}
+	root.AttachEngine(serve.EngineEvents(rec.Events()))
+	// The window series becomes Perfetto counter tracks above the
+	// per-message slices, on the same cycle timeline.
+	root.AttachWindows(serve.WindowPoints(p.Sampler))
 	root.EndAt(end)
 	f, err := os.Create(path)
 	if err != nil {

@@ -165,14 +165,15 @@ func (s *WindowSampler) Start(n *Network, totalCycles int64) {
 
 // Tick advances the sampler one cycle; call it after Network.Step. It
 // closes a window once `window` cycles have elapsed since the last
-// close. The off-boundary path is a single comparison; the boundary
-// path reads the live counters, computes deltas, and publishes one
-// snapshot — still allocation-free.
-func (s *WindowSampler) Tick(n *Network) {
+// close and reports whether it did. The off-boundary path is a single
+// comparison; the boundary path reads the live counters, computes
+// deltas, and publishes one snapshot — still allocation-free.
+func (s *WindowSampler) Tick(n *Network) bool {
 	if n.Cycle()-s.prevCyc < s.window {
-		return
+		return false
 	}
 	s.close(n)
+	return true
 }
 
 // Flush closes a final, possibly short window if any cycles have

@@ -186,3 +186,17 @@ func TestWindowSamplerResetClamp(t *testing.T) {
 		}
 	}
 }
+
+func TestWindowSnapshotThroughput(t *testing.T) {
+	w := WindowSnapshot{Start: 0, End: 1000, DeliveredFlits: 5000}
+	if got := w.Throughput(100); got != 0.05 {
+		t.Errorf("throughput = %v, want 0.05", got)
+	}
+	if got := w.Throughput(0); got != 0 {
+		t.Errorf("zero-node throughput = %v", got)
+	}
+	zero := WindowSnapshot{Start: 5, End: 5}
+	if zero.Throughput(100) != 0 {
+		t.Error("zero-length window throughput nonzero")
+	}
+}

@@ -209,7 +209,6 @@ func TestSimMetricsSampling(t *testing.T) {
 	r := metrics.NewRegistry()
 	p := base
 	p.Metrics = metrics.NewSim(r)
-	p.MetricsInterval = 64
 	observed, err := sim.Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +263,6 @@ func TestSimMetricsTelemetryAndKillSeries(t *testing.T) {
 
 	r := metrics.NewRegistry()
 	p.Metrics = metrics.NewSim(r)
-	p.MetricsInterval = 64
 	if _, err := sim.Run(p); err != nil {
 		t.Fatal(err)
 	}

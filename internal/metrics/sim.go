@@ -7,7 +7,7 @@ import (
 // Sim is the engine-facing metric set: instantaneous gauges over the
 // network's live state plus cumulative counters derived from the
 // engine's LiveCounters. The simulation loop calls Sample on a coarse
-// cadence (sim.Params.MetricsInterval cycles); scrapers read the
+// cadence (every 1024 cycles, plus once at run end); scrapers read the
 // atomics concurrently. Sample costs a handful of loads and atomic
 // stores — it reads only scalar engine state and draws nothing from
 // the RNG, so enabling metrics does not perturb results.

@@ -55,8 +55,6 @@ func Normalize(p sim.Params) (sim.Params, error) {
 	p.FlightRecorderEvents = 0
 	p.FlightRecorder = nil
 	p.Metrics = nil
-	p.MetricsInterval = 0
-	p.WindowCycles = 0
 	p.Sampler = nil
 
 	if p.EngineWorkers >= 1 {

@@ -385,11 +385,11 @@ func (s *Scheduler) worker() {
 		}
 		if rec != nil {
 			runSpan.Set("engine_events", rec.Total())
-			runSpan.AttachEngine(toEngineEvents(rec.Events()))
+			runSpan.AttachEngine(EngineEvents(rec.Events()))
 		}
 		if sampler != nil && runSpan != nil {
 			runSpan.Set("windows", sampler.Seq())
-			runSpan.AttachWindows(toWindowPoints(sampler))
+			runSpan.AttachWindows(WindowPoints(sampler))
 		}
 		if err != nil {
 			runSpan.Set("error", err.Error())
@@ -452,11 +452,12 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// toEngineEvents converts the engine's decoded flight-recorder events
-// into the trace layer's mirror struct. The copy exists because
-// internal/trace must stay engine-import-free (core's own benchmarks
-// import trace); the field sets match one to one.
-func toEngineEvents(evs []core.TraceEvent) []trace.EngineEvent {
+// EngineEvents converts the engine's decoded flight-recorder events
+// into the trace layer's mirror struct, for job spans here and for
+// meshsim -chrometrace. The copy exists because internal/trace must
+// stay engine-import-free (core's own benchmarks import trace); the
+// field sets match one to one.
+func EngineEvents(evs []core.TraceEvent) []trace.EngineEvent {
 	if len(evs) == 0 {
 		return nil
 	}
@@ -471,11 +472,11 @@ func toEngineEvents(evs []core.TraceEvent) []trace.EngineEvent {
 	return out
 }
 
-// toWindowPoints converts a sampler's retained series into the trace
-// layer's dependency-free mirror (same rationale as toEngineEvents),
+// WindowPoints converts a sampler's retained series into the trace
+// layer's dependency-free mirror (same rationale as EngineEvents),
 // deriving each window's normalized throughput from the sampler's
 // healthy-node count.
-func toWindowPoints(s *core.WindowSampler) []trace.WindowPoint {
+func WindowPoints(s *core.WindowSampler) []trace.WindowPoint {
 	snaps := s.Since(0)
 	if len(snaps) == 0 {
 		return nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"wormmesh/internal/core"
 	"wormmesh/internal/sim"
 )
 
@@ -97,7 +98,7 @@ func TestKeyNormalization(t *testing.T) {
 	// Observers never change Stats: an observed request shares the key.
 	traced := explicit
 	traced.TraceWriter = &bytes.Buffer{}
-	traced.WindowCycles = 100
+	traced.Sampler = core.NewWindowSampler(100, 0)
 	traced.Config.ChannelTelemetry = true
 	kt, _, _ := Key(traced)
 	if kt != k1 {

@@ -24,7 +24,7 @@ func NewSweepCache(c *Cache) *SweepCache { return &SweepCache{cache: c} }
 // cannot reproduce.
 func observed(p sim.Params) bool {
 	return p.TraceWriter != nil || p.PostmortemWriter != nil || p.Metrics != nil ||
-		p.FlightRecorder != nil || p.WindowCycles > 0 || p.Config.ChannelTelemetry
+		p.FlightRecorder != nil || p.Sampler != nil || p.Config.ChannelTelemetry
 }
 
 // Lookup implements sweep.Cache.

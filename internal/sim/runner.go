@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -45,7 +44,14 @@ type Runner struct {
 	explicit map[string]*fault.Model // FaultNodes-specified models
 	algs     map[algCacheKey]*algEntry
 	patterns map[patternCacheKey]traffic.Pattern
+
+	// batches closes the steady-state detectors' batches (steady.go).
+	batches *core.WindowSampler
 }
+
+// metricsInterval is the cadence, in cycles, at which a Params.Metrics
+// sink samples the engine (plus once at run end).
+const metricsInterval = 1024
 
 type faultCacheKey struct {
 	topology      string
@@ -277,10 +283,6 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 		})
 	}
 	met := p.Metrics
-	metricsInterval := p.MetricsInterval
-	if metricsInterval <= 0 {
-		metricsInterval = 1024
-	}
 	if met != nil {
 		met.RunStarted()
 	}
@@ -307,10 +309,6 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("sim: unknown WarmupMode %q (want \"\", \"fixed\" or \"mser\")", p.WarmupMode)
 	}
-	steadyWin := p.SteadyWindow
-	if steadyWin <= 0 {
-		steadyWin = DefaultSteadyWindow
-	}
 	sampler := p.Sampler
 	if sampler != nil {
 		sampler.Start(net, p.WarmupCycles+p.MeasureCycles)
@@ -318,10 +316,10 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 	// The loop runs in two phases — warm-up, then measurement behind a
 	// ResetStats cut — with per-cycle work identical to the historical
 	// single loop, so the fixed path stays bit-exact. The steady-state
-	// detectors only observe live counters (read-only, RNG-free) and
-	// only ever SHORTEN a phase, so an adaptive run replays the exact
-	// trajectory of a fixed run of the resulting length.
-	var windows *windowCollector
+	// detectors read batches from a runner-private sampler (never the
+	// caller's, so attaching one stays neutral) and only ever SHORTEN a
+	// phase, so an adaptive run replays the exact trajectory of a fixed
+	// run of the resulting length.
 	cycle := int64(0)
 	step := func() {
 		src.Tick(cycle, net.Offer)
@@ -329,37 +327,41 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 		if sampler != nil {
 			sampler.Tick(net)
 		}
-		if windows != nil {
-			windows.tick()
-		}
 		if met != nil && cycle%metricsInterval == 0 {
 			met.Sample(net)
 		}
 		cycle++
 	}
 	var det *warmupDetector
-	if p.WarmupMode == "mser" && p.WarmupCycles > 0 && p.MeasureCycles > 0 {
-		det = newWarmupDetector(net, steadyWin)
+	var stopper *ciStopper
+	if p.MeasureCycles > 0 {
+		if p.WarmupMode == "mser" && p.WarmupCycles > 0 {
+			det = &warmupDetector{}
+		}
+		if p.StopRelPrecision > 0 {
+			stopper = &ciStopper{rel: p.StopRelPrecision}
+		}
+	}
+	var batches *core.WindowSampler
+	if det != nil || stopper != nil {
+		batches = r.batchSampler(p.SteadyWindow)
+		batches.Start(net, 0)
 	}
 	for cycle < p.WarmupCycles {
 		step()
-		if det != nil && det.observe(net) {
+		if det != nil && batches.Tick(net) && det.add(lastWindow(batches)) {
 			break
 		}
 	}
 	effWarmup := cycle
-	var stopper *ciStopper
 	if p.MeasureCycles > 0 {
 		net.ResetStats()
-		if p.WindowCycles > 0 {
-			windows = newWindowCollector(net, p.WindowCycles)
-		}
-		if p.StopRelPrecision > 0 {
-			stopper = newCIStopper(net, steadyWin, p.StopRelPrecision)
+		if stopper != nil {
+			batches.Start(net, 0) // batches restart at the cut
 		}
 		for end := cycle + p.MeasureCycles; cycle < end; {
 			step()
-			if stopper != nil && stopper.observe(net) {
+			if stopper != nil && batches.Tick(net) && stopper.add(lastWindow(batches)) {
 				break
 			}
 		}
@@ -386,11 +388,8 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 	if p.MeasureCycles > 0 {
 		res.Stats.EffectiveWarmup = effWarmup
 	}
-	if stopper != nil && !math.IsNaN(stopper.half) {
+	if stopper != nil {
 		res.Stats.LatencyCIHalf = stopper.half
-	}
-	if windows != nil {
-		res.Windows = windows.windows
 	}
 	if recorder != nil {
 		if err := recorder.Close(); err != nil {

@@ -237,3 +237,40 @@ func TestMSERTruncation(t *testing.T) {
 		t.Error("a 3-point series should be too short to truncate")
 	}
 }
+
+// TestWindowsCollected checks the series meshsim -windows prints: an
+// attached sampler covers the whole run in contiguous windows aligned
+// to cycle 0, and the windows after the warm-up cut account for every
+// measured delivery.
+func TestWindowsCollected(t *testing.T) {
+	p := DefaultParams()
+	p.Rate = 0.001
+	p.WarmupCycles = 2000
+	p.MeasureCycles = 4000
+	s := core.NewWindowSampler(1000, 16)
+	p.Sampler = s
+	res, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := s.Since(0)
+	if len(ws) != 6 {
+		t.Fatalf("windows = %d, want 6", len(ws))
+	}
+	var delivered, flits int64
+	for i, w := range ws {
+		if w.Start != int64(i)*1000 || w.End != w.Start+1000 {
+			t.Errorf("window %d spans [%d,%d)", i, w.Start, w.End)
+		}
+		if w.End > res.Stats.EffectiveWarmup {
+			delivered += w.Delivered
+			flits += w.DeliveredFlits
+		}
+	}
+	if delivered != res.Stats.Delivered {
+		t.Errorf("measured windows deliver %d, Stats %d", delivered, res.Stats.Delivered)
+	}
+	if flits != res.Stats.DeliveredFlits {
+		t.Errorf("measured windows deliver %d flits, Stats %d", flits, res.Stats.DeliveredFlits)
+	}
+}

@@ -34,9 +34,6 @@ type Params struct {
 
 	WarmupCycles  int64
 	MeasureCycles int64
-	// WindowCycles, when non-zero, additionally collects per-window
-	// time series during the measurement phase (Result.Windows).
-	WindowCycles int64
 
 	// WarmupMode selects how the warm-up truncation point is chosen.
 	// "" or "fixed" discards exactly WarmupCycles (the bit-exact
@@ -98,16 +95,16 @@ type Params struct {
 	// JSON manifests.
 	FlightRecorder *core.FlightRecorder `json:"-"`
 
-	// Metrics, when non-nil, receives live engine telemetry every
-	// MetricsInterval cycles (default 1024) plus once at run end.
-	// Sampling is read-only and RNG-free, so results are unchanged.
-	Metrics         *metrics.Sim `json:"-"`
-	MetricsInterval int64
+	// Metrics, when non-nil, receives live engine telemetry every 1024
+	// cycles plus once at run end. Sampling is read-only and RNG-free,
+	// so results are unchanged.
+	Metrics *metrics.Sim `json:"-"`
 
 	// Sampler, when non-nil, is the time-resolved telemetry observer:
-	// the runner Starts it against the network and Ticks it every
-	// cycle, so window snapshots stream into its ring for live readers
-	// (SSE, dashboards) while the run executes. Like every observer it
+	// the runner Starts it against the network at cycle 0 and Ticks it
+	// every cycle, so window snapshots of the whole run (warm-up
+	// included) stream into its ring for live readers (SSE, dashboards,
+	// meshsim -windows) while the run executes. Like every observer it
 	// is read-only and RNG-free — Stats are bit-identical with or
 	// without it — and excluded from JSON manifests.
 	Sampler *core.WindowSampler `json:"-"`
@@ -168,10 +165,6 @@ type Result struct {
 	Regions          int
 	Elapsed          time.Duration
 	UndeliveredAtEnd int
-
-	// Windows holds the per-window time series when
-	// Params.WindowCycles is set.
-	Windows []Window
 
 	// Links holds the per-link congestion counters for the measurement
 	// window when Params.Config.ChannelTelemetry is set; nil otherwise.

@@ -9,12 +9,17 @@ import (
 // Statistical steady-state handling: MSER-style warm-up truncation and
 // a relative-precision (batch-means CI half-width) stopping rule.
 //
-// Both detectors observe the engine through core.Network.LiveCounters
-// only — strictly read-only and RNG-free — so a run with detection
-// enabled follows the exact engine trajectory of a fixed run of the
-// same length. That is the bit-exactness contract the equivalence test
-// locks in: an "mser" run and a fixed run whose WarmupCycles equals the
-// detected EffectiveWarmup produce identical Stats.
+// Both detectors keep only their statistics: each batch is one window
+// of a runner-private core.WindowSampler of width SteadyWindow, and the
+// detector ingests that window's mean latency. The sampler is read-only
+// and RNG-free, so a run with detection enabled follows the exact
+// engine trajectory of a fixed run of the same length. That is the
+// bit-exactness contract the equivalence test locks in: an "mser" run
+// and a fixed run whose WarmupCycles equals the detected
+// EffectiveWarmup produce identical Stats.
+//
+// A measured message's latency is at least one cycle, so a window's
+// AvgLatency is zero exactly when it measured no delivery.
 
 // DefaultSteadyWindow is the batch width (in cycles) used by both
 // detectors when Params.SteadyWindow is zero.
@@ -37,45 +42,44 @@ const minWarmupBatches = 10
 // long steady tail has accumulated behind it, which is exactly the
 // evidence the heuristic requires.
 type warmupDetector struct {
-	window  int64
-	prevCyc int64
-	prev    core.LiveCounters
-	lastLat float64
 	batches []float64
 }
 
-func newWarmupDetector(net *core.Network, window int64) *warmupDetector {
-	return &warmupDetector{
-		window:  window,
-		prevCyc: net.Cycle(),
-		prev:    net.LiveCounters(),
-		batches: make([]float64, 0, 64),
-	}
-}
-
-// observe ingests one cycle; it returns true when steady state is
-// detected at the current cycle (always a batch boundary).
-func (d *warmupDetector) observe(net *core.Network) bool {
-	if net.Cycle()-d.prevCyc < d.window {
-		return false
-	}
-	cur := net.LiveCounters()
-	lat := d.lastLat
-	if dc := cur.LatencyCount - d.prev.LatencyCount; dc > 0 {
-		lat = float64(cur.LatencySum-d.prev.LatencySum) / float64(dc)
-		d.lastLat = lat
-	}
+// add ingests one closed batch; it returns true when steady state is
+// detected at the batch's end.
+func (d *warmupDetector) add(w core.WindowSnapshot) bool {
 	// A batch with no deliveries carries the previous batch mean so the
 	// series stays aligned with time; at any load worth measuring this
 	// is rare.
+	lat := w.AvgLatency
+	if lat == 0 && len(d.batches) > 0 {
+		lat = d.batches[len(d.batches)-1]
+	}
 	d.batches = append(d.batches, lat)
-	d.prev = cur
-	d.prevCyc = net.Cycle()
 	if len(d.batches) < minWarmupBatches {
 		return false
 	}
 	dstar, ok := mserTruncation(d.batches)
 	return ok && dstar*2 <= len(d.batches)
+}
+
+// batchSampler returns the Runner's private sampler for the detectors'
+// batches, width cycles each (DefaultSteadyWindow when width <= 0). Its
+// one-slot ring holds the batch that just closed.
+func (r *Runner) batchSampler(width int64) *core.WindowSampler {
+	if width <= 0 {
+		width = DefaultSteadyWindow
+	}
+	if r.batches == nil || r.batches.Window() != width {
+		r.batches = core.NewWindowSampler(width, 1)
+	}
+	return r.batches
+}
+
+// lastWindow returns the batch s closed most recently.
+func lastWindow(s *core.WindowSampler) core.WindowSnapshot {
+	w, _ := s.Latest()
+	return w
 }
 
 // mserTruncation returns the MSER truncation point over a series of
@@ -125,47 +129,24 @@ func mserTruncation(x []float64) (dstar int, ok bool) {
 // Student-t 95% confidence half-width of their mean falls below
 // rel × mean (with at least minBatches batches), measurement stops.
 type ciStopper struct {
-	window  int64
 	rel     float64
-	prevCyc int64
-	prev    core.LiveCounters
 	batches []float64
 	// half is the most recently computed CI half-width in cycles,
 	// valid once at least two batches with deliveries accumulated.
 	half float64
-	mean float64
 }
 
 // minStopBatches is the floor before the stopping rule may fire; a CI
 // from a handful of batches is too optimistic to act on.
 const minStopBatches = 10
 
-func newCIStopper(net *core.Network, window int64, rel float64) *ciStopper {
-	return &ciStopper{
-		window:  window,
-		rel:     rel,
-		prevCyc: net.Cycle(),
-		prev:    net.LiveCounters(),
-		batches: make([]float64, 0, 64),
-		half:    math.NaN(),
-		mean:    math.NaN(),
+// add ingests one closed batch; it returns true when the precision
+// target is met at the batch's end. Batches without deliveries are
+// skipped.
+func (c *ciStopper) add(w core.WindowSnapshot) bool {
+	if w.AvgLatency > 0 {
+		c.batches = append(c.batches, w.AvgLatency)
 	}
-}
-
-// observe ingests one cycle; it returns true when the precision target
-// is met at the current batch boundary.
-func (c *ciStopper) observe(net *core.Network) bool {
-	if net.Cycle()-c.prevCyc < c.window {
-		return false
-	}
-	cur := net.LiveCounters()
-	dc := cur.LatencyCount - c.prev.LatencyCount
-	if dc > 0 {
-		c.batches = append(c.batches,
-			float64(cur.LatencySum-c.prev.LatencySum)/float64(dc))
-	}
-	c.prev = cur
-	c.prevCyc = net.Cycle()
 	n := len(c.batches)
 	if n < 2 {
 		return false
@@ -181,16 +162,13 @@ func (c *ciStopper) observe(net *core.Network) bool {
 	if variance < 0 {
 		variance = 0
 	}
-	c.mean = mean
-	c.half = tCritical95(n-1) * math.Sqrt(variance/fn)
+	c.half = TCritical95(n-1) * math.Sqrt(variance/fn)
 	return n >= minStopBatches && mean > 0 && c.half <= c.rel*mean
 }
 
-// tCritical95 returns the two-sided 95% critical value of Student's t
+// TCritical95 returns the two-sided 95% critical value of Student's t
 // with df degrees of freedom (tabulated; the asymptote 1.96 beyond).
-// Duplicated from internal/sweep, which sits above sim in the import
-// graph.
-func tCritical95(df int) float64 {
+func TCritical95(df int) float64 {
 	table := []float64{0, 12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365,
 		2.306, 2.262, 2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120,
 		2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060,

@@ -85,7 +85,6 @@ func TestTelemetryNeutralMetricsSampling(t *testing.T) {
 	p.Config = DefaultEngineConfig()
 	p.Config.ChannelTelemetry = true
 	p.Metrics = newTestSim(t)
-	p.MetricsInterval = 256
 	res, err := Run(p)
 	if err != nil {
 		t.Fatal(err)

@@ -170,29 +170,7 @@ func (m Moments) CI95() float64 {
 	if m.N < 2 {
 		return 0
 	}
-	return tCritical95(m.N-1) * m.Std() / math.Sqrt(float64(m.N))
-}
-
-// tCritical95 returns the two-sided 95% critical value of Student's t
-// with df degrees of freedom (tabulated; the asymptote 1.96 beyond).
-func tCritical95(df int) float64 {
-	table := []float64{0, 12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365,
-		2.306, 2.262, 2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120,
-		2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060,
-		2.056, 2.052, 2.048, 2.045, 2.042}
-	if df < len(table) {
-		return table[df]
-	}
-	switch {
-	case df >= 120:
-		return 1.980
-	case df >= 60:
-		return 2.000
-	case df >= 40:
-		return 2.021
-	default:
-		return 2.030
-	}
+	return sim.TCritical95(m.N-1) * m.Std() / math.Sqrt(float64(m.N))
 }
 
 // Std returns the sample standard deviation.

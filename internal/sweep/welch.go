@@ -1,6 +1,10 @@
 package sweep
 
-import "math"
+import (
+	"math"
+
+	"wormmesh/internal/sim"
+)
 
 // Welch compares two samples with unequal variances (Welch's t-test)
 // — the right tool for "is algorithm A really better than B over these
@@ -21,7 +25,7 @@ func Welch(a, b Moments) (t float64, df float64, significant bool) {
 	t = (a.Mean() - b.Mean()) / math.Sqrt(va+vb)
 	df = (va + vb) * (va + vb) /
 		(va*va/(na-1) + vb*vb/(nb-1))
-	crit := tCritical95(int(math.Max(1, math.Floor(df))))
+	crit := sim.TCritical95(int(math.Max(1, math.Floor(df))))
 	return t, df, math.Abs(t) > crit
 }
 
