@@ -9,7 +9,7 @@
 //	experiments [flags] model         # analytic model vs. simulator
 //	experiments [flags] saturation    # per-algorithm saturation points
 //	experiments [flags] adaptivity    # routing freedom per decision
-//	experiments [flags] scale         # larger meshes on the parallel engine
+//	experiments [flags] scale         # larger meshes (16x16, 20x20)
 //	experiments [flags] hotspot       # on-ring vs off-ring blocked-cycle maps
 //	experiments [flags] warmup        # fixed vs MSER-detected warm-up truncation
 //	experiments [flags] topology      # mesh vs torus backends, torus-enabled roster

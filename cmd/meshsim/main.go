@@ -31,7 +31,7 @@ func main() {
 	var list, heat, traceFlits, latBreakdown, predict, live bool
 	var windows int64
 	var traceFile, postmortemFile, metricsAddr, manifestFile, linkmapFile, chromeFile string
-	var engineWorkers, reps, flightrecEvents int
+	var reps, flightrecEvents int
 	var cpuProfile, memProfile, cacheDir string
 	flag.StringVar(&p.Algorithm, "alg", p.Algorithm, "routing algorithm (see -list)")
 	flag.StringVar(&p.Topology, "topology", "mesh", "network topology: mesh|torus")
@@ -64,7 +64,6 @@ func main() {
 	flag.StringVar(&chromeFile, "chrometrace", "", "write the run's engine events as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing; ring capacity from -flightrec; single run only)")
 	flag.StringVar(&metricsAddr, "metrics-addr", "", "serve live Prometheus metrics on this address (e.g. :9090; endpoints /metrics and /debug/vars)")
 	flag.StringVar(&manifestFile, "manifest", "", "write a JSON run manifest (params, seeds, wall time, result digest) to this file")
-	flag.IntVar(&engineWorkers, "engine-workers", 0, "use the deterministic parallel engine with this many workers")
 	flag.IntVar(&reps, "reps", 1, "replications over fault sets/seeds, reported as mean ± 95% CI")
 	flag.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&memProfile, "memprofile", "", "write a heap profile to this file on exit")
@@ -134,7 +133,6 @@ func main() {
 	if windows > 0 && reps <= 1 {
 		p.Sampler = core.NewWindowSampler(windows, int(total/windows)+2)
 	}
-	p.EngineWorkers = engineWorkers
 	if traceFile != "" {
 		f, err := os.Create(traceFile)
 		if err != nil {

@@ -1,14 +1,12 @@
 // Scaling studies how the comparative results extend beyond the
 // paper's 10×10 mesh: it runs a subset of algorithms on growing meshes
-// with a proportional number of faults, using the deterministic
-// parallel engine for the larger instances.
+// with a proportional number of faults.
 package main
 
 import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 
 	"wormmesh"
 	"wormmesh/internal/report"
@@ -31,9 +29,6 @@ func main() {
 			}
 			p.WarmupCycles = 2000
 			p.MeasureCycles = 6000
-			if size > 10 {
-				p.EngineWorkers = runtime.NumCPU()
-			}
 			res, err := wormmesh.Run(p)
 			if err != nil {
 				log.Fatal(err)
@@ -46,6 +41,4 @@ func main() {
 	if err := t.Write(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("\nmeshes above 10x10 use the deterministic parallel engine")
-	fmt.Println("(same seed => same result for any worker count).")
 }

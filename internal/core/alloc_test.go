@@ -10,36 +10,25 @@ import (
 // loadNetwork fills a network with pooled traffic and advances it until
 // the arena and every internal scratch slice have reached steady-state
 // capacity, so the measured region below performs no growth.
-func loadNetwork(tb testing.TB, mesh topology.Topology, workers int) (*Network, *rand.Rand, *int64) {
-	return loadNetworkAlg(tb, mesh, workers, func() Algorithm { return xyAlg{mesh: mesh, vcs: 8} })
+func loadNetwork(tb testing.TB, mesh topology.Topology) (*Network, *rand.Rand, *int64) {
+	return loadNetworkAlg(tb, mesh, xyAlg{mesh: mesh, vcs: 8})
 }
 
-// loadNetworkAlg is loadNetwork with a caller-chosen algorithm factory
-// (one instance per worker clone), so torus workloads can use the
-// dateline discipline.
-func loadNetworkAlg(tb testing.TB, mesh topology.Topology, workers int, alg func() Algorithm) (*Network, *rand.Rand, *int64) {
+// loadNetworkAlg is loadNetwork with a caller-chosen algorithm, so
+// torus workloads can use the dateline discipline.
+func loadNetworkAlg(tb testing.TB, mesh topology.Topology, alg Algorithm) (*Network, *rand.Rand, *int64) {
 	tb.Helper()
 	cfg := DefaultConfig()
 	cfg.NumVCs = 8
 	cfg.MaxSourceQueue = 4
-	n, err := NewNetwork(mesh, nil, alg(), cfg, rand.New(rand.NewSource(1)))
+	n, err := NewNetwork(mesh, nil, alg, cfg, rand.New(rand.NewSource(1)))
 	if err != nil {
 		tb.Fatal(err)
-	}
-	if workers >= 1 {
-		clones := make([]Algorithm, workers)
-		for i := range clones {
-			clones[i] = alg()
-		}
-		if err := n.EnableParallel(workers, clones); err != nil {
-			tb.Fatal(err)
-		}
 	}
 	rng := rand.New(rand.NewSource(2))
 	id := new(int64)
 	// Warm up: drive enough traffic that the message pool, active
-	// slices, source queues and parallel scratch tables grow to their
-	// steady-state capacity. 24×24 under this load plateaus at several
+	// slices and source queues grow to their steady-state capacity. 24×24 under this load plateaus at several
 	// hundred messages in flight, so run well past the ramp.
 	for i := 0; i < 6000; i++ {
 		stepLoaded(n, mesh, rng, id)
@@ -81,7 +70,7 @@ func TestStepLoadedAllocs(t *testing.T) {
 	// Interface-typed so the measured closure does not re-box the
 	// concrete Mesh into the Topology parameter on every call.
 	var mesh topology.Topology = topology.New(10, 10)
-	n, rng, id := loadNetwork(t, mesh, 0)
+	n, rng, id := loadNetwork(t, mesh)
 	allocs := testing.AllocsPerRun(500, func() {
 		stepLoaded(n, mesh, rng, id)
 	})
@@ -97,7 +86,7 @@ func TestStepLoadedAllocsTorus(t *testing.T) {
 	// Interface-typed so the measured closure does not re-box the
 	// concrete Torus into the Topology parameter on every call.
 	var torus topology.Topology = topology.NewTorus(10, 10)
-	n, rng, id := loadNetworkAlg(t, torus, 0, func() Algorithm { return torusXYAlg{topo: torus, vcs: 8} })
+	n, rng, id := loadNetworkAlg(t, torus, torusXYAlg{topo: torus, vcs: 8})
 	allocs := testing.AllocsPerRun(500, func() {
 		stepLoaded(n, torus, rng, id)
 	})
@@ -106,35 +95,11 @@ func TestStepLoadedAllocsTorus(t *testing.T) {
 	}
 }
 
-// TestStepParallelAllocs does the same for the parallel request–grant
-// engine. With 4 workers the forceShard hook makes the persistent
-// worker pool really run even though AllocsPerRun pins GOMAXPROCS to 1
-// (which would otherwise engage the single-CPU inline fallback):
-// goroutine wake-ups must not allocate either. AllocsPerRun's counter
-// is process-global (runtime.MemStats.Mallocs), so worker-goroutine
-// allocations are included in the measurement.
-func TestStepParallelAllocs(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		n, rng, id := loadNetwork(t, topology.New(24, 24), workers)
-		if workers > 1 {
-			n.par.forceShard = true
-		}
-		mesh := n.Topo
-		allocs := testing.AllocsPerRun(200, func() {
-			stepLoaded(n, mesh, rng, id)
-		})
-		n.Close()
-		if allocs != 0 {
-			t.Errorf("parallel loaded Step (workers=%d) allocates %.2f objects/cycle, want 0", workers, allocs)
-		}
-	}
-}
-
 // TestValidateAllocs locks in the allocation-free invariant checker
 // (it runs every cycle under the engine tests' watchdog cadence).
 func TestValidateAllocs(t *testing.T) {
 	mesh := topology.New(10, 10)
-	n, _, _ := loadNetwork(t, mesh, 0)
+	n, _, _ := loadNetwork(t, mesh)
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := n.Validate(); err != nil {
 			t.Fatal(err)
@@ -150,7 +115,7 @@ func TestValidateAllocs(t *testing.T) {
 // message the run acquired.
 func TestMessagePoolRecycles(t *testing.T) {
 	mesh := topology.New(10, 10)
-	n, rng, id := loadNetwork(t, mesh, 0)
+	n, rng, id := loadNetwork(t, mesh)
 	for i := 0; i < 5000 && n.InFlight() > 0; i++ {
 		n.Step()
 	}

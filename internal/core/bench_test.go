@@ -215,70 +215,6 @@ func BenchmarkStepLoadedTorus(b *testing.B) {
 	b.ReportMetric(float64(n.Snapshot().DeliveredFlits)/float64(b.N), "flits/cycle")
 }
 
-// BenchmarkStepParallel measures the parallel request–grant engine on
-// a large mesh across worker counts (run with -cpu to vary GOMAXPROCS
-// as well). The large/ variants exercise the persistent worker pool on
-// a 24×24 mesh; small/ shows the single-shard fallback on the paper's
-// 10×10 mesh, where sharding overhead would dominate.
-func BenchmarkStepParallel(b *testing.B) {
-	run := func(b *testing.B, mesh topology.Topology, workers int) {
-		cfg := DefaultConfig()
-		cfg.NumVCs = 8
-		cfg.MaxSourceQueue = 4
-		n, err := NewNetwork(mesh, nil, xyAlg{mesh: mesh, vcs: 8}, cfg, rand.New(rand.NewSource(1)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer n.Close()
-		clones := make([]Algorithm, workers)
-		for i := range clones {
-			clones[i] = xyAlg{mesh: mesh, vcs: 8}
-		}
-		if err := n.EnableParallel(workers, clones); err != nil {
-			b.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(2))
-		id := int64(0)
-		step := func() {
-			for k := 0; k < 4; k++ { // busy network
-				src := topology.NodeID(rng.Intn(mesh.NodeCount()))
-				dst := topology.NodeID(rng.Intn(mesh.NodeCount()))
-				if src != dst {
-					id++
-					m := n.AcquireMessage(id, src, dst, 16)
-					m.GenTime = n.Cycle()
-					n.Offer(m)
-				}
-			}
-			n.Step()
-		}
-		// Reach the arena's and scratch tables' steady-state capacity
-		// before measuring, so allocs/op reports the steady state.
-		for i := 0; i < 1500; i++ {
-			step()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			step()
-		}
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run("large/"+benchName(workers), func(b *testing.B) {
-			run(b, topology.New(24, 24), workers)
-		})
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run("small/"+benchName(workers), func(b *testing.B) {
-			run(b, topology.New(10, 10), workers)
-		})
-	}
-}
-
-func benchName(workers int) string {
-	return "workers-" + string(rune('0'+workers))
-}
-
 // BenchmarkValidate measures the invariant checker used by the tests.
 func BenchmarkValidate(b *testing.B) {
 	mesh := topology.New(10, 10)

@@ -169,7 +169,7 @@ func TestFlightRecorderSummarizes(t *testing.T) {
 func TestStepLoadedAllocsWithFlightRecorder(t *testing.T) {
 	var mesh topology.Topology = topology.New(10, 10) // box once, not per call
 
-	n, rng, id := loadNetwork(t, mesh, 0)
+	n, rng, id := loadNetwork(t, mesh)
 	fr := NewFlightRecorder(1024)
 	n.SetFlightRecorder(fr)
 	// Prime the ring past its first wrap so the append path is the

@@ -15,9 +15,9 @@ import (
 //
 // Memory layout: all per-cycle state lives in dense, index-addressed
 // slices — the in-flight message set, the per-router active-VC lists,
-// the (first, count) flit windows, and the parallel engine's
-// epoch-stamped grant table — so a steady-state Step performs zero heap
-// allocations. See DESIGN.md "Memory layout & determinism contract".
+// and the (first, count) flit windows — so a steady-state Step
+// performs zero heap allocations. See DESIGN.md "Memory layout &
+// determinism contract".
 type Network struct {
 	Topo   topology.Topology
 	Faults *fault.Model
@@ -53,13 +53,10 @@ type Network struct {
 	// busy is the dirty-router set (see worklist.go): bit i set ⇔
 	// router i holds any engine state (source queue, injection in
 	// progress, or owned VCs). busyCount is its population; work is the
-	// reusable ascending-order snapshot the phases iterate; allNodes is
-	// the constant 0..N-1 worklist the parallel engine uses under
-	// DebugFullScan.
+	// reusable ascending-order snapshot the phases iterate.
 	busy      []uint64
 	busyCount int
 	work      []topology.NodeID
-	allNodes  []topology.NodeID
 
 	stats      Stats
 	statsStart int64
@@ -82,8 +79,6 @@ type Network struct {
 	userTracer   Tracer
 	flight       *FlightRecorder
 	postmortemFn func(*Postmortem)
-
-	par *parallelEngine
 
 	// Reused scratch buffers (inner-loop allocation avoidance).
 	cands    CandidateSet
@@ -185,10 +180,6 @@ func NewNetwork(m topology.Topology, f *fault.Model, alg Algorithm, cfg Config, 
 	}
 	n.busy = make([]uint64, (m.NodeCount()+63)/64)
 	n.work = make([]topology.NodeID, 0, m.NodeCount())
-	n.allNodes = make([]topology.NodeID, m.NodeCount())
-	for i := range n.allNodes {
-		n.allNodes[i] = topology.NodeID(i)
-	}
 	n.nbr = make([]topology.NodeID, m.NodeCount()*topology.NumDirs)
 	for i := range n.routers {
 		id := topology.NodeID(i)
@@ -215,12 +206,6 @@ func NewNetwork(m topology.Topology, f *fault.Model, alg Algorithm, cfg Config, 
 // the same seed, cycle restarted at zero — which is the invariant the
 // cached-vs-fresh golden tests in internal/sim lock in. The mesh and
 // Config are fixed at construction; pass a model over the same mesh.
-//
-// Parallel mode: Reset does not tear down an enabled parallel engine.
-// Callers that want parallel stepping must call EnableParallel again
-// (which re-keys the hashed streams from the new RNG and reuses the
-// worker pool when the shape matches); callers that want serial
-// stepping after a parallel run must call DisableParallel.
 func (n *Network) Reset(f *fault.Model, alg Algorithm, rng *rand.Rand) error {
 	if f == nil {
 		f = fault.None(n.Topo)
@@ -298,11 +283,14 @@ func (n *Network) Reset(f *fault.Model, alg Algorithm, rng *rand.Rand) error {
 	return nil
 }
 
-// Close releases resources the network holds beyond its own memory —
-// today, the parallel engine's persistent worker goroutines. A network
-// must not be stepped after Close; drivers that enable parallel mode
-// (internal/sim does) should defer it.
-func (n *Network) Close() { n.DisableParallel() }
+// Close releases nothing: a Network holds no resources beyond its own
+// memory. It remains for callers that defer it.
+func (n *Network) Close() {}
+
+// DisableParallel is a no-op.
+//
+// Deprecated: the engine is serial; there is no parallel mode to leave.
+func (n *Network) DisableParallel() {}
 
 // Cycle returns the current simulation time.
 func (n *Network) Cycle() int64 { return n.cycle }
@@ -378,8 +366,7 @@ func (n *Network) Offer(m *Message) bool {
 }
 
 // Step advances the network one cycle: routing + VC allocation, then
-// switch allocation and flit traversal, then watchdog checks. With
-// EnableParallel, the parallel request–grant engine runs instead.
+// switch allocation and flit traversal, then watchdog checks.
 //
 // A fully quiescent network — empty dirty set, which by the membership
 // invariant (worklist.go) means no queued, injecting or in-flight
@@ -389,10 +376,6 @@ func (n *Network) Offer(m *Message) bool {
 // nothing from the RNG), the switch phase would skip every router
 // before its shuffle, and commit would have no moves to apply.
 func (n *Network) Step() {
-	if n.par != nil {
-		n.stepParallel()
-		return
-	}
 	if n.busyCount == 0 && !DebugFullScan {
 		n.watchdog()
 		n.cycle++

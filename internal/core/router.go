@@ -83,6 +83,10 @@ type injState struct {
 	dvc *vcState
 }
 
+// localChannel encodes one of a router's input VCs (port, vc) as
+// port*NumVCs + vc: the index into router.vcs.
+type localChannel = int32
+
 // router is the per-node switching element: four buffered input ports
 // (one per incoming physical channel) with Config.NumVCs virtual
 // channels each, a source queue on the injection port, and an
@@ -91,8 +95,7 @@ type router struct {
 	id topology.NodeID
 
 	// vcs holds the router's input VCs as one flat slice indexed by
-	// localChannel code (port*NumVCs + vc) for port = East..South —
-	// the router-local residue of the global ChannelID encoding, so
+	// localChannel code (port*NumVCs + vc) for port = East..South, so
 	// vcAt is a single bounds-checked load with no division. Input
 	// ports are named after the side of the router the link physically
 	// enters: a flit sent East by the western neighbor arrives on this
@@ -103,11 +106,9 @@ type router struct {
 	srcQ []*Message
 	inj  injState
 
-	// active lists the occupied input VCs as localChannel codes
-	// (port*NumVCs+vc — the router-local residue of the global
-	// ChannelID encoding) so the per-cycle loops skip idle channels.
-	// Swap-remove keeps it dense; activeIdx back-references make
-	// removal O(1).
+	// active lists the occupied input VCs as localChannel codes so the
+	// per-cycle loops skip idle channels. Swap-remove keeps it dense;
+	// activeIdx back-references make removal O(1).
 	active []localChannel
 
 	// crossings counts flits that traversed this router's crossbar

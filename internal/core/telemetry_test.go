@@ -222,50 +222,34 @@ func TestLinkCountersConsistency(t *testing.T) {
 
 // TestStepLoadedAllocsTelemetry re-runs the zero-allocation budget with
 // ChannelTelemetry enabled: counter recording must stay free of heap
-// traffic in both the serial and the parallel engine.
+// traffic.
 func TestStepLoadedAllocsTelemetry(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		var mesh topology.Topology = topology.New(10, 10) // box once, not per call
-		if workers > 0 {
-			mesh = topology.New(24, 24)
-		}
-		cfg := DefaultConfig()
-		cfg.NumVCs = 8
-		cfg.MaxSourceQueue = 4
-		cfg.ChannelTelemetry = true
-		n, err := NewNetwork(mesh, nil, xyAlg{mesh: mesh, vcs: 8}, cfg, rand.New(rand.NewSource(1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if workers >= 1 {
-			clones := make([]Algorithm, workers)
-			for i := range clones {
-				clones[i] = xyAlg{mesh: mesh, vcs: 8}
-			}
-			if err := n.EnableParallel(workers, clones); err != nil {
-				t.Fatal(err)
-			}
-			n.par.forceShard = true
-		}
-		rng := rand.New(rand.NewSource(2))
-		id := new(int64)
-		for i := 0; i < 6000; i++ {
-			stepLoaded(n, mesh, rng, id)
-		}
-		cushion := make([]*Message, 512)
-		for i := range cushion {
-			cushion[i] = n.AcquireMessage(0, 0, 1, 16)
-		}
-		for _, m := range cushion {
-			n.recycle(m)
-		}
-		allocs := testing.AllocsPerRun(200, func() {
-			stepLoaded(n, mesh, rng, id)
-		})
-		n.Close()
-		if allocs != 0 {
-			t.Errorf("telemetry-on loaded Step (workers=%d) allocates %.2f objects/cycle, want 0", workers, allocs)
-		}
+	var mesh topology.Topology = topology.New(10, 10) // box once, not per call
+	cfg := DefaultConfig()
+	cfg.NumVCs = 8
+	cfg.MaxSourceQueue = 4
+	cfg.ChannelTelemetry = true
+	n, err := NewNetwork(mesh, nil, xyAlg{mesh: mesh, vcs: 8}, cfg, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	id := new(int64)
+	for i := 0; i < 6000; i++ {
+		stepLoaded(n, mesh, rng, id)
+	}
+	cushion := make([]*Message, 512)
+	for i := range cushion {
+		cushion[i] = n.AcquireMessage(0, 0, 1, 16)
+	}
+	for _, m := range cushion {
+		n.recycle(m)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		stepLoaded(n, mesh, rng, id)
+	})
+	if allocs != 0 {
+		t.Errorf("telemetry-on loaded Step allocates %.2f objects/cycle, want 0", allocs)
 	}
 }
 

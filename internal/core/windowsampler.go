@@ -27,9 +27,9 @@ type WindowSnapshot struct {
 	WallNanos int64 `json:"wall_nanos"`
 
 	// Counter deltas over the window. They are computed from the
-	// engine's live measurement-window counters, so a mid-window
-	// ResetStats (the warm-up cut) clamps them to the new window's
-	// partial tally rather than going negative.
+	// engine's live measurement-window counters, so a window that
+	// straddles ResetStats (the warm-up cut) counts only the tally
+	// since the reset.
 	Generated      int64 `json:"generated"`
 	Injected       int64 `json:"injected"`
 	Delivered      int64 `json:"delivered"`
@@ -91,16 +91,15 @@ type WindowSampler struct {
 	slab  []uint8          // LinkBusy backing store, capacity×links
 
 	// Writer-only state (no locking: single writer).
-	links        int
-	prevCyc      int64
-	prev         LiveCounters
-	prevInjected int64
-	prevBusy     []int64
-	prevBlocked  []int64
-	healthy      int
-	startWall    int64
-	startCycle   int64
-	totalCycles  int64
+	links       int
+	prevCyc     int64
+	prev        LiveCounters
+	prevBusy    []int64
+	prevBlocked []int64
+	healthy     int
+	startWall   int64
+	startCycle  int64
+	totalCycles int64
 }
 
 // DefaultWindowCycles is the window width services use when the caller
@@ -187,18 +186,14 @@ func (s *WindowSampler) Flush(n *Network) {
 	s.close(n)
 }
 
-// counterDelta returns cur-prev clamped for counter resets: the
-// warm-up cut zeroes the live counters mid-run, so a current value
-// below the baseline means the counter restarted and the delta since
-// the reset is just cur.
-func counterDelta(cur, prev int64) int64 {
-	if cur < prev {
-		return cur
-	}
-	return cur - prev
-}
-
 func (s *WindowSampler) close(n *Network) {
+	if n.statsStart >= s.prevCyc {
+		// The measurement window restarted (ResetStats) since the last
+		// close, so the live counters count from zero again.
+		s.prev = LiveCounters{}
+		clear(s.prevBusy)
+		clear(s.prevBlocked)
+	}
 	cur := n.LiveCounters()
 	seq := s.seq.Load()
 	slot := int(seq % int64(s.capacity))
@@ -209,15 +204,15 @@ func (s *WindowSampler) close(n *Network) {
 	w.Start = s.prevCyc
 	w.End = n.Cycle()
 	w.WallNanos = time.Now().UnixNano()
-	w.Generated = counterDelta(cur.Generated, s.prev.Generated)
-	w.Injected = counterDelta(cur.Injected, s.prev.Injected)
-	w.Delivered = counterDelta(cur.Delivered, s.prev.Delivered)
-	w.DeliveredFlits = counterDelta(cur.DeliveredFlits, s.prev.DeliveredFlits)
-	w.Killed = counterDelta(cur.Killed, s.prev.Killed)
+	w.Generated = cur.Generated - s.prev.Generated
+	w.Injected = cur.Injected - s.prev.Injected
+	w.Delivered = cur.Delivered - s.prev.Delivered
+	w.DeliveredFlits = cur.DeliveredFlits - s.prev.DeliveredFlits
+	w.Killed = cur.Killed - s.prev.Killed
 	w.InFlight = n.InFlight()
 	w.AvgLatency = 0
-	if dc := counterDelta(cur.LatencyCount, s.prev.LatencyCount); dc > 0 {
-		w.AvgLatency = float64(counterDelta(cur.LatencySum, s.prev.LatencySum)) / float64(dc)
+	if dc := cur.LatencyCount - s.prev.LatencyCount; dc > 0 {
+		w.AvgLatency = float64(cur.LatencySum-s.prev.LatencySum) / float64(dc)
 	}
 	w.BlockedLinks = 0
 	w.LinkBusy = nil
@@ -226,13 +221,13 @@ func (s *WindowSampler) close(n *Network) {
 		cycles := w.End - w.Start
 		row := s.slab[slot*s.links : (slot+1)*s.links]
 		for i := 0; i < s.links; i++ {
-			db := counterDelta(busy[i], s.prevBusy[i])
+			db := busy[i] - s.prevBusy[i]
 			frac := db * 255 / cycles
 			if frac > 255 {
 				frac = 255
 			}
 			row[i] = uint8(frac)
-			if counterDelta(blocked[i], s.prevBlocked[i]) > 0 {
+			if blocked[i] > s.prevBlocked[i] {
 				w.BlockedLinks++
 			}
 			s.prevBusy[i] = busy[i]

@@ -13,7 +13,7 @@ import (
 // — must not touch the heap.
 func TestStepLoadedAllocsSampler(t *testing.T) {
 	var mesh topology.Topology = topology.New(10, 10)
-	n, rng, id := loadNetwork(t, mesh, 0)
+	n, rng, id := loadNetwork(t, mesh)
 	s := NewWindowSampler(64, 32)
 	s.Start(n, 0)
 	allocs := testing.AllocsPerRun(500, func() {

@@ -35,9 +35,8 @@ import (
 // Events that can set the bit — who marks whom dirty:
 //
 //   - Offer appends to r.srcQ            → markBusy(source router)
-//   - VC allocation claims a downstream
-//     input VC (serial routingPhase and
-//     the parallel engine's grant apply) → markBusy(downstream router)
+//   - VC allocation (routingPhase)
+//     claims a downstream input VC      → markBusy(downstream router)
 //   - watchdog kill with KillReinject
 //     re-queues the clone               → markBusy(source router)
 //

@@ -34,7 +34,7 @@ func TestStepIdleAllocs(t *testing.T) {
 // idle stretch wakes the engine back up.
 func TestQuiescentShortCircuit(t *testing.T) {
 	mesh := topology.New(10, 10)
-	n, _, _ := loadNetwork(t, mesh, 0)
+	n, _, _ := loadNetwork(t, mesh)
 	for i := 0; i < 5000 && n.InFlight() > 0; i++ {
 		n.Step()
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"wormmesh/internal/report"
 	"wormmesh/internal/routing"
@@ -12,8 +11,7 @@ import (
 
 // ScaleResult extends the comparison beyond the paper's 10×10 mesh:
 // the same algorithms at the same relative load and fault fraction on
-// growing meshes (run on the deterministic parallel engine above
-// 10×10).
+// growing meshes.
 type ScaleResult struct {
 	Sizes      []int
 	Algorithms []string
@@ -41,9 +39,6 @@ func Scale(o Options, algorithms []string, sizes []int) (*ScaleResult, error) {
 			p.Algorithm = alg
 			p.Rate = 0.1 / float64(o.MessageLength)
 			p.Faults = size * size / 20
-			if size > 10 {
-				p.EngineWorkers = runtime.NumCPU()
-			}
 			mesh := topology.New(size, size)
 			if min, err := routing.MinVCs(alg, mesh); err == nil && min > p.Config.NumVCs {
 				p.Config.NumVCs = min

@@ -29,9 +29,9 @@ import (
 // to eagerMemoNodes nodes (the paper's 10×10 = 10 000 entries,
 // ~200 KB) are built eagerly at construction; larger meshes allocate
 // and fill one source-node row on first use, so memory follows the
-// set of nodes that actually route headers. Each wrapper instance
-// (including per-worker parallel clones) owns its own memo, so lazy
-// fills never race.
+// set of nodes that actually route headers. Each wrapper instance owns
+// its own memo, and each sim.Runner its own instances, so lazy fills
+// never race.
 
 // DebugNoCache, when set before algorithm construction, disables the
 // static-fault memoization tables: wrappers built while it is true

@@ -27,10 +27,8 @@ import (
 // Normalization rules, in order:
 //   - observers are stripped (writers, metrics, window/telemetry
 //     collection): they never change Stats, only record them;
-//   - EngineWorkers collapses to the arbitration model: 0 stays 0 (the
-//     serial engine), any n >= 1 becomes 1 (the parallel model is
-//     bit-identical for every worker count, so the count is capacity,
-//     not configuration);
+//   - the deprecated engine worker count is zeroed: the engine is
+//     serial and ignores it;
 //   - defaults are made explicit (topology, algorithm, pattern, message
 //     length, cycle counts, seeds, engine Config) exactly as the sim
 //     layer would apply them;
@@ -56,12 +54,7 @@ func Normalize(p sim.Params) (sim.Params, error) {
 	p.FlightRecorder = nil
 	p.Metrics = nil
 	p.Sampler = nil
-
-	if p.EngineWorkers >= 1 {
-		p.EngineWorkers = 1
-	} else {
-		p.EngineWorkers = 0
-	}
+	p.EngineWorkers = 0
 
 	if p.Topology == "" {
 		p.Topology = "mesh"

@@ -81,18 +81,14 @@ func TestKeyNormalization(t *testing.T) {
 		t.Errorf("explicit defaults keyed %s, sparse %s\nnp1=%+v\nnp2=%+v", k1, k2, np1, np2)
 	}
 
-	// Worker counts >= 1 share the parallel arbitration model.
-	w4 := explicit
-	w4.EngineWorkers = 4
-	w1 := explicit
-	w1.EngineWorkers = 1
-	k4, _, _ := Key(w4)
-	kw1, _, _ := Key(w1)
-	if k4 != kw1 {
-		t.Error("EngineWorkers 4 and 1 keyed differently (worker count is capacity, not configuration)")
-	}
-	if k4 == k1 {
-		t.Error("parallel and serial engines keyed identically (their arbitration differs)")
+	// EngineWorkers is deprecated and ignored: every count gets the
+	// serial key.
+	for _, w := range []int{0, 1, 4} {
+		q := explicit
+		q.EngineWorkers = w
+		if kw, _, _ := Key(q); kw != k1 {
+			t.Errorf("EngineWorkers %d keyed %s, want the serial key %s", w, kw, k1)
+		}
 	}
 
 	// Observers never change Stats: an observed request shares the key.

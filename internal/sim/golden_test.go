@@ -8,12 +8,11 @@ import (
 )
 
 // goldenParams is one mid-load faulty-mesh scenario used to lock in the
-// engine's determinism contract: the splitmix64 request–grant
-// arbitration must yield bit-identical Stats for any worker count, and
-// both engines must be exactly reproducible for a fixed seed. The
-// memory-layout refactors (dense ChannelID grant table, flit windows,
-// message arena) are required to keep this test passing unchanged.
-func goldenParams(workers int) Params {
+// engine's determinism contract: the engine must be exactly
+// reproducible for a fixed seed. The memory-layout refactors (flit
+// windows, message arena) are required to keep this test passing
+// unchanged.
+func goldenParams() Params {
 	p := DefaultParams()
 	p.Algorithm = "Duato"
 	p.Pattern = "uniform"
@@ -24,13 +23,12 @@ func goldenParams(workers int) Params {
 	p.Seed = 1234
 	p.WarmupCycles = 500
 	p.MeasureCycles = 2500
-	p.EngineWorkers = workers
 	return p
 }
 
-func goldenRun(t *testing.T, workers int) core.Stats {
+func goldenRun(t *testing.T) core.Stats {
 	t.Helper()
-	res, err := Run(goldenParams(workers))
+	res, err := Run(goldenParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,36 +39,18 @@ func goldenRun(t *testing.T, workers int) core.Stats {
 // per-node slices — "bit-identical" means the whole Stats value.
 func statsEqual(a, b core.Stats) bool { return reflect.DeepEqual(a, b) }
 
-// TestGoldenDeterminismAcrossWorkers asserts Stats equality across
-// workers ∈ {1, 2, 4} for the golden scenario.
-func TestGoldenDeterminismAcrossWorkers(t *testing.T) {
-	base := goldenRun(t, 1)
-	if base.Delivered == 0 {
+// TestGoldenDeterminismAcrossRuns asserts that two runs with the same
+// seed are bit-identical.
+func TestGoldenDeterminismAcrossRuns(t *testing.T) {
+	a := goldenRun(t)
+	b := goldenRun(t)
+	if a.Delivered == 0 {
 		t.Fatal("golden scenario delivered nothing")
 	}
-	if base.LatencyCount == 0 {
+	if a.LatencyCount == 0 {
 		t.Fatal("golden scenario measured no latencies")
 	}
-	for _, workers := range []int{2, 4} {
-		got := goldenRun(t, workers)
-		if !statsEqual(base, got) {
-			t.Errorf("workers=%d diverged from workers=1:\n  base: %+v\n  got:  %+v", workers, base, got)
-		}
-	}
-}
-
-// TestGoldenDeterminismAcrossRuns asserts that two runs with the same
-// seed are bit-identical, for the serial engine and for the parallel
-// engine.
-func TestGoldenDeterminismAcrossRuns(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		a := goldenRun(t, workers)
-		b := goldenRun(t, workers)
-		if a.Delivered == 0 {
-			t.Fatalf("workers=%d delivered nothing", workers)
-		}
-		if !statsEqual(a, b) {
-			t.Errorf("workers=%d: same seed diverged across runs:\n  a: %+v\n  b: %+v", workers, a, b)
-		}
+	if !statsEqual(a, b) {
+		t.Errorf("same seed diverged across runs:\n  a: %+v\n  b: %+v", a, b)
 	}
 }

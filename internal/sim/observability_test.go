@@ -8,21 +8,17 @@ import (
 
 // TestFlightRecorderGoldenNeutral locks in the observation contract:
 // recording is read-only and RNG-free, so the golden scenario's Stats
-// are bit-identical with the flight recorder on or off — serial and
-// parallel.
+// are bit-identical with the flight recorder on or off.
 func TestFlightRecorderGoldenNeutral(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		base := goldenRun(t, workers)
-		p := goldenParams(workers)
-		p.FlightRecorderEvents = 512
-		res, err := Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !statsEqual(base, res.Stats) {
-			t.Errorf("workers=%d: flight recorder changed the run:\n  off: %+v\n  on:  %+v",
-				workers, base, res.Stats)
-		}
+	base := goldenRun(t)
+	p := goldenParams()
+	p.FlightRecorderEvents = 512
+	res, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !statsEqual(base, res.Stats) {
+		t.Errorf("flight recorder changed the run:\n  off: %+v\n  on:  %+v", base, res.Stats)
 	}
 }
 
@@ -117,8 +113,8 @@ func TestPostmortemGoldenNeutral(t *testing.T) {
 func TestRunnerFlightRecorderNeutral(t *testing.T) {
 	r := NewRunner()
 	defer r.Close()
-	base := goldenRun(t, 0)
-	p := goldenParams(0)
+	base := goldenRun(t)
+	p := goldenParams()
 	for i, variant := range []func(*Params){
 		func(p *Params) {},
 		func(p *Params) { p.FlightRecorderEvents = 512 },

@@ -14,11 +14,11 @@ import (
 
 // Runner executes simulations back to back while reusing every
 // expensive artifact a single Run would rebuild from scratch: the
-// network (routers, VC arrays, neighbor table, message arena, parallel
-// worker pool), the traffic source, both RNGs, and — keyed caches —
-// fault models, fortified routing algorithms with their per-worker
-// clones, and traffic patterns. A 1,000-point sweep through one Runner
-// allocates O(1) networks instead of O(points).
+// network (routers, VC arrays, neighbor table, message arena), the
+// traffic source, both RNGs, and — keyed caches — fault models,
+// fortified routing algorithms, and traffic patterns. A 1,000-point
+// sweep through one Runner allocates O(1) networks instead of
+// O(points).
 //
 // Reuse is observably transparent: a Runner produces bit-identical
 // Results to the one-shot Run/RunWithFaults for the same Params (the
@@ -42,7 +42,7 @@ type Runner struct {
 
 	faults   map[faultCacheKey]*fault.Model
 	explicit map[string]*fault.Model // FaultNodes-specified models
-	algs     map[algCacheKey]*algEntry
+	algs     map[algCacheKey]core.Algorithm
 	patterns map[patternCacheKey]traffic.Pattern
 
 	// batches closes the steady-state detectors' batches (steady.go).
@@ -70,14 +70,6 @@ type algCacheKey struct {
 	numVCs int
 }
 
-// algEntry holds the network's main algorithm instance plus the
-// per-worker clones parallel mode needs; the clone list grows to the
-// largest worker count requested so far.
-type algEntry struct {
-	main   core.Algorithm
-	clones []core.Algorithm
-}
-
 type patternCacheKey struct {
 	name  string
 	model *fault.Model
@@ -87,15 +79,9 @@ type patternCacheKey struct {
 // use.
 func NewRunner() *Runner { return &Runner{} }
 
-// Close releases the resources the Runner holds beyond its own memory
-// (today: the reused network's parallel worker pool). The Runner must
-// not be used after Close.
-func (r *Runner) Close() {
-	if r.net != nil {
-		r.net.Close()
-		r.net = nil
-	}
-}
+// Close drops the Runner's reused network so its memory can be
+// reclaimed. The Runner must not be used after Close.
+func (r *Runner) Close() { r.net = nil }
 
 // Run executes one simulation, reusing the Runner's cached state.
 func (r *Runner) Run(p Params) (Result, error) {
@@ -154,31 +140,22 @@ func (r *Runner) buildFaults(p Params) (*fault.Model, error) {
 	return f, nil
 }
 
-// algorithms returns the cached fortified algorithm for (name, f,
-// numVCs) plus `workers` per-worker clones, constructing whatever is
-// missing.
-func (r *Runner) algorithms(name string, f *fault.Model, numVCs, workers int) (core.Algorithm, []core.Algorithm, error) {
+// algorithm returns the cached fortified algorithm for (name, f,
+// numVCs), constructing it on first use.
+func (r *Runner) algorithm(name string, f *fault.Model, numVCs int) (core.Algorithm, error) {
 	key := algCacheKey{name: name, model: f, numVCs: numVCs}
-	e := r.algs[key]
-	if e == nil {
-		a, err := routing.New(name, f, numVCs)
-		if err != nil {
-			return nil, nil, err
-		}
-		e = &algEntry{main: a}
-		if r.algs == nil {
-			r.algs = map[algCacheKey]*algEntry{}
-		}
-		r.algs[key] = e
+	if a, ok := r.algs[key]; ok {
+		return a, nil
 	}
-	for len(e.clones) < workers {
-		c, err := routing.New(name, f, numVCs)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.clones = append(e.clones, c)
+	a, err := routing.New(name, f, numVCs)
+	if err != nil {
+		return nil, err
 	}
-	return e.main, e.clones[:workers], nil
+	if r.algs == nil {
+		r.algs = map[algCacheKey]core.Algorithm{}
+	}
+	r.algs[key] = a
+	return a, nil
 }
 
 // pattern returns the cached traffic pattern for (name, f).
@@ -201,9 +178,9 @@ func (r *Runner) pattern(name string, f *fault.Model) (traffic.Pattern, error) {
 // RunWithFaults executes one simulation over a pre-built fault model,
 // reusing the Runner's network, source and caches. The RNG interaction
 // order deliberately mirrors the one-shot path — seed engine RNG, build
-// or Reset the network (no draws), EnableParallel (one draw in parallel
-// mode), seed traffic RNG, build or Reset the source (one ExpFloat64
-// per healthy node) — so results are bit-identical to RunWithFaults.
+// or Reset the network (no draws), seed traffic RNG, build or Reset the
+// source (one ExpFloat64 per healthy node) — so results are
+// bit-identical to RunWithFaults.
 func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 	start := time.Now()
 	mesh := f.Topo
@@ -221,7 +198,7 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 		// the stored (normalized) Cfg and keeps the network reusable.
 		cfg.StallScanInterval = 1024
 	}
-	alg, clones, err := r.algorithms(p.Algorithm, f, cfg.NumVCs, p.EngineWorkers)
+	alg, err := r.algorithm(p.Algorithm, f, cfg.NumVCs)
 	if err != nil {
 		return Result{}, err
 	}
@@ -239,9 +216,6 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 			return Result{}, err
 		}
 	} else {
-		if r.net != nil {
-			r.net.Close()
-		}
 		net, err := core.NewNetwork(mesh, f, alg, cfg, r.engRng)
 		if err != nil {
 			return Result{}, err
@@ -249,13 +223,6 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 		r.net = net
 	}
 	net := r.net
-	if p.EngineWorkers >= 1 {
-		if err := net.EnableParallel(p.EngineWorkers, clones); err != nil {
-			return Result{}, err
-		}
-	} else {
-		net.DisableParallel()
-	}
 	var recorder *core.Recorder
 	if p.TraceWriter != nil {
 		recorder = core.NewRecorder(p.TraceWriter)

@@ -8,36 +8,32 @@ import (
 
 // TestTelemetryNeutralSampler locks in the WindowSampler's observer
 // contract: sampling is read-only and RNG-free, so the golden
-// scenario's Stats are bit-identical with a sampler attached or not —
-// serial and parallel. (The name keeps it inside the telemetry-
-// neutrality CI step's -run TelemetryNeutral filter.)
+// scenario's Stats are bit-identical with a sampler attached or not.
+// (The name keeps it inside the telemetry-neutrality CI step's
+// -run TelemetryNeutral filter.)
 func TestTelemetryNeutralSampler(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		base := goldenRun(t, workers)
-		p := goldenParams(workers)
-		s := core.NewWindowSampler(256, 8) // tiny ring: eviction must not matter either
-		p.Sampler = s
-		res, err := Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !statsEqual(base, res.Stats) {
-			t.Errorf("workers=%d: sampler changed the run:\n  off: %+v\n  on:  %+v",
-				workers, base, res.Stats)
-		}
-		total := p.WarmupCycles + p.MeasureCycles
-		wantSeq := total/256 + 1 // 11 full windows + the flushed tail
-		if total%256 == 0 {
-			wantSeq = total / 256
-		}
-		if s.Seq() != wantSeq {
-			t.Errorf("workers=%d: sampler produced %d windows over %d cycles (W=256), want %d",
-				workers, s.Seq(), total, wantSeq)
-		}
-		last, ok := s.Latest()
-		if !ok || last.End != total {
-			t.Errorf("workers=%d: last window ends at %d, want %d", workers, last.End, total)
-		}
+	base := goldenRun(t)
+	p := goldenParams()
+	s := core.NewWindowSampler(256, 8) // tiny ring: eviction must not matter either
+	p.Sampler = s
+	res, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !statsEqual(base, res.Stats) {
+		t.Errorf("sampler changed the run:\n  off: %+v\n  on:  %+v", base, res.Stats)
+	}
+	total := p.WarmupCycles + p.MeasureCycles
+	wantSeq := total/256 + 1 // 11 full windows + the flushed tail
+	if total%256 == 0 {
+		wantSeq = total / 256
+	}
+	if s.Seq() != wantSeq {
+		t.Errorf("sampler produced %d windows over %d cycles (W=256), want %d", s.Seq(), total, wantSeq)
+	}
+	last, ok := s.Latest()
+	if !ok || last.End != total {
+		t.Errorf("last window ends at %d, want %d", last.End, total)
 	}
 }
 
@@ -45,8 +41,8 @@ func TestTelemetryNeutralSampler(t *testing.T) {
 // both link telemetry and a sampler attached: still bit-identical, and
 // the snapshots carry per-link busy rows.
 func TestTelemetryNeutralSamplerWithLinks(t *testing.T) {
-	base := goldenRun(t, 0)
-	p := goldenParams(0)
+	base := goldenRun(t)
+	p := goldenParams()
 	p.Config = DefaultEngineConfig()
 	p.Config.ChannelTelemetry = true
 	s := core.NewWindowSampler(256, 64)
@@ -77,11 +73,11 @@ func TestTelemetryNeutralSamplerWithLinks(t *testing.T) {
 func TestSamplerRunnerReuse(t *testing.T) {
 	r := NewRunner()
 	defer r.Close()
-	base := goldenRun(t, 0)
+	base := goldenRun(t)
 	s := core.NewWindowSampler(512, 128)
 	var prevSeq int64
 	for i, attach := range []bool{true, false, true} {
-		p := goldenParams(0)
+		p := goldenParams()
 		if attach {
 			p.Sampler = s
 		}
@@ -105,7 +101,7 @@ func TestSamplerRunnerReuse(t *testing.T) {
 // steadyParams is the golden scenario with batch width shrunk so the
 // detectors have enough batches to work with inside a test-sized run.
 func steadyParams() Params {
-	p := goldenParams(0)
+	p := goldenParams()
 	p.WarmupCycles = 4000 // cap for detection
 	p.MeasureCycles = 4000
 	p.SteadyWindow = 100
@@ -199,7 +195,7 @@ func TestStopRelPrecision(t *testing.T) {
 
 // TestWarmupModeValidation rejects unknown modes.
 func TestWarmupModeValidation(t *testing.T) {
-	p := goldenParams(0)
+	p := goldenParams()
 	p.WarmupMode = "schruben"
 	if _, err := Run(p); err == nil {
 		t.Fatal("unknown WarmupMode accepted")
@@ -241,36 +237,46 @@ func TestMSERTruncation(t *testing.T) {
 // TestWindowsCollected checks the series meshsim -windows prints: an
 // attached sampler covers the whole run in contiguous windows aligned
 // to cycle 0, and the windows after the warm-up cut account for every
-// measured delivery.
+// measured delivery. When the cut falls inside a window, that window
+// straddles ResetStats and must count only the tally since the reset.
 func TestWindowsCollected(t *testing.T) {
-	p := DefaultParams()
-	p.Rate = 0.001
-	p.WarmupCycles = 2000
-	p.MeasureCycles = 4000
-	s := core.NewWindowSampler(1000, 16)
-	p.Sampler = s
-	res, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := s.Since(0)
-	if len(ws) != 6 {
-		t.Fatalf("windows = %d, want 6", len(ws))
-	}
-	var delivered, flits int64
-	for i, w := range ws {
-		if w.Start != int64(i)*1000 || w.End != w.Start+1000 {
-			t.Errorf("window %d spans [%d,%d)", i, w.Start, w.End)
+	for _, c := range []struct {
+		rate                    float64
+		warmup, measure, window int64
+	}{
+		{0.001, 2000, 4000, 1000}, // cut on a window boundary
+		{0.002, 520, 3000, 512},
+		{0.002, 600, 3000, 512},
+		{0.002, 700, 3000, 512},
+	} {
+		p := DefaultParams()
+		p.Rate = c.rate
+		p.WarmupCycles = c.warmup
+		p.MeasureCycles = c.measure
+		s := core.NewWindowSampler(c.window, 16)
+		p.Sampler = s
+		res, err := Run(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if w.End > res.Stats.EffectiveWarmup {
-			delivered += w.Delivered
-			flits += w.DeliveredFlits
+		total := c.warmup + c.measure
+		ws := s.Since(0)
+		if want := (total + c.window - 1) / c.window; int64(len(ws)) != want {
+			t.Fatalf("warm-up %d: windows = %d, want %d", c.warmup, len(ws), want)
 		}
-	}
-	if delivered != res.Stats.Delivered {
-		t.Errorf("measured windows deliver %d, Stats %d", delivered, res.Stats.Delivered)
-	}
-	if flits != res.Stats.DeliveredFlits {
-		t.Errorf("measured windows deliver %d flits, Stats %d", flits, res.Stats.DeliveredFlits)
+		var delivered, flits int64
+		for i, w := range ws {
+			if w.Start != int64(i)*c.window || w.End != min(w.Start+c.window, total) {
+				t.Errorf("warm-up %d: window %d spans [%d,%d)", c.warmup, i, w.Start, w.End)
+			}
+			if w.End > res.Stats.EffectiveWarmup {
+				delivered += w.Delivered
+				flits += w.DeliveredFlits
+			}
+		}
+		if delivered != res.Stats.Delivered || flits != res.Stats.DeliveredFlits {
+			t.Errorf("warm-up %d: measured windows deliver %d msgs / %d flits, Stats %d / %d",
+				c.warmup, delivered, flits, res.Stats.Delivered, res.Stats.DeliveredFlits)
+		}
 	}
 }

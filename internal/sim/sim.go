@@ -60,14 +60,7 @@ type Params struct {
 	// window is shorter), so unlike pure observers this field is part
 	// of a run's identity.
 	StopRelPrecision float64
-	// EngineWorkers >= 1 switches the engine to the deterministic
-	// parallel request–grant mode with that many workers, useful for
-	// meshes much larger than the paper's. Results are reproducible
-	// for a given seed regardless of the worker count — EngineWorkers=1
-	// runs the parallel arbitration model on a single thread and yields
-	// bit-identical statistics to any other worker count. Zero (the
-	// default) selects the serial engine, whose arbitration model
-	// differs slightly (see core/parallel.go).
+	// Deprecated: ignored; the engine is serial.
 	EngineWorkers int
 	// TraceWriter, when non-nil, receives the engine's event stream
 	// as JSON lines (core.Recorder); TraceFlits additionally records
@@ -205,9 +198,7 @@ func BuildFaults(p Params) (*fault.Model, error) {
 // Runner and call its methods directly to reuse the network, source and
 // caches across runs (internal/sweep's workers do).
 func RunWithFaults(p Params, f *fault.Model) (Result, error) {
-	r := NewRunner()
-	defer r.Close()
-	return r.RunWithFaults(p, f)
+	return NewRunner().RunWithFaults(p, f)
 }
 
 // NormalizedThroughput is the accepted traffic as a fraction of the

@@ -17,32 +17,28 @@ func newTestSim(t *testing.T) *metrics.Sim {
 
 // TestTelemetryNeutralGolden locks in the per-link telemetry contract:
 // counter recording is read-only and RNG-free, so the golden scenario's
-// Stats are bit-identical with ChannelTelemetry on or off — serial and
-// parallel (workers 1, 2, 4).
+// Stats are bit-identical with ChannelTelemetry on or off.
 func TestTelemetryNeutralGolden(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 4} {
-		base := goldenRun(t, workers)
-		p := goldenParams(workers)
-		p.Config = DefaultEngineConfig()
-		p.Config.ChannelTelemetry = true
-		res, err := Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !statsEqual(base, res.Stats) {
-			t.Errorf("workers=%d: link telemetry changed the run:\n  off: %+v\n  on:  %+v",
-				workers, base, res.Stats)
-		}
-		if res.Links == nil {
-			t.Fatalf("workers=%d: telemetry on but Result.Links is nil", workers)
-		}
-		var flits int64
-		for _, f := range res.Links.Flits {
-			flits += f
-		}
-		if flits == 0 {
-			t.Errorf("workers=%d: telemetry on but no link flits recorded", workers)
-		}
+	base := goldenRun(t)
+	p := goldenParams()
+	p.Config = DefaultEngineConfig()
+	p.Config.ChannelTelemetry = true
+	res, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !statsEqual(base, res.Stats) {
+		t.Errorf("link telemetry changed the run:\n  off: %+v\n  on:  %+v", base, res.Stats)
+	}
+	if res.Links == nil {
+		t.Fatal("telemetry on but Result.Links is nil")
+	}
+	var flits int64
+	for _, f := range res.Links.Flits {
+		flits += f
+	}
+	if flits == 0 {
+		t.Error("telemetry on but no link flits recorded")
 	}
 }
 
@@ -54,9 +50,9 @@ func TestTelemetryNeutralGolden(t *testing.T) {
 func TestTelemetryNeutralRunnerReuse(t *testing.T) {
 	r := NewRunner()
 	defer r.Close()
-	base := goldenRun(t, 0)
+	base := goldenRun(t)
 	for i, telemetry := range []bool{false, true, false, true} {
-		p := goldenParams(0)
+		p := goldenParams()
 		p.Config = DefaultEngineConfig()
 		p.Config.ChannelTelemetry = telemetry
 		res, err := r.Run(p)
@@ -80,8 +76,8 @@ func TestTelemetryNeutralRunnerReuse(t *testing.T) {
 // link counters mid-run) and checks Stats stay bit-identical: sampling
 // is read-only.
 func TestTelemetryNeutralMetricsSampling(t *testing.T) {
-	base := goldenRun(t, 0)
-	p := goldenParams(0)
+	base := goldenRun(t)
+	p := goldenParams()
 	p.Config = DefaultEngineConfig()
 	p.Config.ChannelTelemetry = true
 	p.Metrics = newTestSim(t)
@@ -99,7 +95,7 @@ func TestTelemetryNeutralMetricsSampling(t *testing.T) {
 // measurement window: a run with warm-up discards warm-up deliveries,
 // and the histogram total equals LatencyCount exactly.
 func TestLatencyHistogramWindowReset(t *testing.T) {
-	p := goldenParams(0)
+	p := goldenParams()
 	res, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +123,7 @@ func TestLatencyHistogramWindowReset(t *testing.T) {
 // component sums partition the total latency sum, and the anatomy
 // table renders every component.
 func TestLatencyAnatomyPartition(t *testing.T) {
-	res, err := Run(goldenParams(0))
+	res, err := Run(goldenParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +151,7 @@ func TestLatencyAnatomyPartition(t *testing.T) {
 // exist, some measured messages traversed them, and the overlay never
 // exceeds the total latency.
 func TestRingOverlayOnFaultyRun(t *testing.T) {
-	p := goldenParams(0)
+	p := goldenParams()
 	p.Config = DefaultEngineConfig()
 	p.Config.ChannelTelemetry = true
 	res, err := Run(p)
@@ -185,7 +181,7 @@ func TestRingOverlayOnFaultyRun(t *testing.T) {
 // metric, the CSV table lists only existing links, and the faulty
 // node is marked.
 func TestLinkViewAndTableFromRun(t *testing.T) {
-	p := goldenParams(0)
+	p := goldenParams()
 	p.Config = DefaultEngineConfig()
 	p.Config.ChannelTelemetry = true
 	res, err := Run(p)
@@ -228,7 +224,7 @@ func TestLinkViewAndTableFromRun(t *testing.T) {
 	}
 
 	// Telemetry-off runs fail loudly instead of reporting nothing.
-	plain, err := Run(goldenParams(0))
+	plain, err := Run(goldenParams())
 	if err != nil {
 		t.Fatal(err)
 	}

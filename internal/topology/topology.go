@@ -105,7 +105,7 @@ func (d Direction) Delta() (dx, dy int) {
 //
 //   - ID is a bijection onto [0, NodeCount) with id = y*Width + x, so
 //     dense per-node and per-channel arrays index directly by NodeID
-//     (the ChannelID/LinkID encodings and the worklist bitmaps depend
+//     (the LinkID encoding and the worklist bitmaps depend
 //     on this).
 //   - NeighborID(id, d) returns Invalid exactly when no physical link
 //     leaves id in direction d; when it returns n, then
