@@ -57,10 +57,10 @@ func main() {
 	flag.StringVar(&p.WarmupMode, "warmup-mode", "", "warm-up truncation: fixed (default) or mser (detect steady state, cap at -warmup)")
 	flag.Float64Var(&p.StopRelPrecision, "stop-rel", 0, "stop measuring once the 95% CI half-width on latency is within this fraction of the mean (0 = run all cycles)")
 	flag.Int64Var(&p.SteadyWindow, "steady-window", 0, "batch width in cycles for -warmup-mode mser and -stop-rel (0 = 500)")
-	flag.StringVar(&traceFile, "trace", "", "write the event stream as JSON lines to this file (with -reps > 1, only the first replication is traced)")
+	flag.StringVar(&traceFile, "trace", "", "write the event stream as JSON lines to this file, streamed through the flight-recorder ring (with -reps > 1, only the first replication is traced)")
 	flag.BoolVar(&traceFlits, "trace-flits", false, "include per-flit hops in the trace")
 	flag.StringVar(&postmortemFile, "postmortem", "", "write a deadlock post-mortem (wait-for graph, blocked chains, recent events) to this file at each global watchdog firing (with -reps > 1, first replication only)")
-	flag.IntVar(&flightrecEvents, "flightrec", 0, "flight recorder ring capacity in events (0 = off unless -postmortem is set)")
+	flag.IntVar(&flightrecEvents, "flightrec", 0, "capacity in events of the flight-recorder ring behind -trace, -postmortem and -chrometrace (0 = 4096); on its own it records nothing")
 	flag.StringVar(&chromeFile, "chrometrace", "", "write the run's engine events as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing; ring capacity from -flightrec; single run only)")
 	flag.StringVar(&metricsAddr, "metrics-addr", "", "serve live Prometheus metrics on this address (e.g. :9090; endpoints /metrics and /debug/vars)")
 	flag.StringVar(&manifestFile, "manifest", "", "write a JSON run manifest (params, seeds, wall time, result digest) to this file")
@@ -133,6 +133,13 @@ func main() {
 	if windows > 0 && reps <= 1 {
 		p.Sampler = core.NewWindowSampler(windows, int(total/windows)+2)
 	}
+	// One flight-recorder ring is the run's event sink: it streams
+	// -trace and holds the tail -postmortem and -chrometrace read.
+	var rec *core.FlightRecorder
+	if traceFile != "" || postmortemFile != "" || chromeFile != "" {
+		rec = core.NewFlightRecorder(flightrecEvents)
+		p.FlightRecorder = rec
+	}
 	if traceFile != "" {
 		f, err := os.Create(traceFile)
 		if err != nil {
@@ -140,8 +147,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		p.TraceWriter = f
-		p.TraceFlits = traceFlits
+		rec.Stream(f, traceFlits)
 	}
 	if postmortemFile != "" {
 		f, err := os.Create(postmortemFile)
@@ -151,16 +157,6 @@ func main() {
 		}
 		defer f.Close()
 		p.PostmortemWriter = f
-	}
-	p.FlightRecorderEvents = flightrecEvents
-	var chromeRec *core.FlightRecorder
-	if chromeFile != "" {
-		capacity := flightrecEvents
-		if capacity <= 0 {
-			capacity = core.DefaultFlightRecorderEvents
-		}
-		chromeRec = core.NewFlightRecorder(capacity)
-		p.FlightRecorder = chromeRec
 	}
 
 	var sweepMetrics *metrics.Sweep
@@ -227,13 +223,13 @@ func main() {
 		manifest.LatencyCIHalfWidth = st.LatencyCIHalf
 	}
 	writeManifest(manifest, manifestFile, st)
-	if chromeRec != nil {
-		if err := writeChromeTrace(chromeFile, p, res, chromeRec); err != nil {
+	if chromeFile != "" {
+		if err := writeChromeTrace(chromeFile, p, res, rec); err != nil {
 			fmt.Fprintln(os.Stderr, "meshsim:", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "meshsim: wrote %s (%d engine events; open in ui.perfetto.dev)\n",
-			chromeFile, chromeRec.Len())
+			chromeFile, rec.Len())
 	}
 
 	fmt.Printf("%v, %s, %s traffic, rate %g msg/node/cycle, %d-flit messages, %d VCs\n",
@@ -379,9 +375,9 @@ func main() {
 // runReplications runs the configuration over several fault sets and
 // seeds in parallel and reports mean and 95% confidence intervals.
 // Per-run observers stay on the FIRST replication only: the points run
-// concurrently on a worker pool, so sharing one trace/post-mortem
-// writer or engine-metrics sampler across replications would interleave
-// their streams (the -trace flag documents this).
+// concurrently on a worker pool, so sharing one flight-recorder ring,
+// post-mortem writer or engine-metrics sampler across replications
+// would interleave their streams (the -trace flag documents this).
 func runReplications(p wormmesh.Params, reps int, sm *metrics.Sweep, manifest *metrics.Manifest, manifestFile string, cache *serve.SweepCache) {
 	points := sweep.FaultReplicas("rep", p, reps)
 	if manifest != nil {
@@ -391,7 +387,7 @@ func runReplications(p wormmesh.Params, reps int, sm *metrics.Sweep, manifest *m
 		}
 	}
 	for i := 1; i < len(points); i++ {
-		points[i].Params.TraceWriter = nil
+		points[i].Params.FlightRecorder = nil
 		points[i].Params.PostmortemWriter = nil
 		points[i].Params.Metrics = nil
 	}
@@ -443,7 +439,7 @@ func writeChromeTrace(path string, p wormmesh.Params, res wormmesh.Result, rec *
 	root.Set("algorithm", p.Algorithm)
 	root.Set("rate", p.Rate)
 	root.Set("cycles", p.WarmupCycles+p.MeasureCycles)
-	root.AttachEngine(serve.EngineEvents(rec.Events()))
+	root.AttachEngine(rec.Events())
 	// The window series becomes Perfetto counter tracks above the
 	// per-message slices, on the same cycle timeline.
 	root.AttachWindows(serve.WindowPoints(p.Sampler))

@@ -69,6 +69,66 @@ func TestMeshsimSmoke(t *testing.T) {
 	}
 }
 
+// readFile returns the named file's contents.
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestTraceReplications: with -reps 2 only the first replication owns
+// the flight-recorder ring, so the trace is exactly a single run's —
+// not two concurrent replicas interleaved into one ring.
+func TestTraceReplications(t *testing.T) {
+	dir := t.TempDir()
+	single, reps := filepath.Join(dir, "single.jsonl"), filepath.Join(dir, "reps.jsonl")
+	meshsim(t, "-trace", single)
+	if out := meshsim(t, "-reps", "2", "-trace", reps); !strings.Contains(out, "2 replications") {
+		t.Errorf("-reps 2 output:\n%s", out)
+	}
+	want := readFile(t, single)
+	if len(want) == 0 {
+		t.Fatal("empty trace")
+	}
+	if !bytes.Equal(readFile(t, reps), want) {
+		t.Error("-reps 2 -trace differs from the first replication's own trace")
+	}
+}
+
+// TestTracePostmortemChromeShareRing runs -trace, -postmortem and
+// -chrometrace on one wedge-prone run: they share one ring, and each
+// artifact is exactly what the flag produces on its own.
+func TestTracePostmortemChromeShareRing(t *testing.T) {
+	dir := t.TempDir()
+	wedge := []string{"-alg", "Minimal-Adaptive", "-vcs", "5", "-rate", "0.05", "-len", "8", "-warmup", "0", "-cycles", "6000"}
+	path := func(name string) string { return filepath.Join(dir, name) }
+	meshsim(t, append(wedge, "-trace", path("alone.jsonl"))...)
+	meshsim(t, append(wedge, "-postmortem", path("alone.txt"))...)
+	meshsim(t, append(wedge, "-trace", path("all.jsonl"), "-postmortem", path("all.txt"),
+		"-chrometrace", path("all.json"))...)
+
+	pm := readFile(t, path("all.txt"))
+	if !bytes.Contains(pm, []byte("engine events")) {
+		t.Fatalf("post-mortem carries no recorder tail:\n%s", pm)
+	}
+	if !bytes.Equal(pm, readFile(t, path("alone.txt"))) {
+		t.Error("post-mortem changed when the ring also streamed -trace and fed -chrometrace")
+	}
+	tr := readFile(t, path("all.jsonl"))
+	if !bytes.Contains(tr, []byte(`"kind":"watchdog"`)) {
+		t.Error("trace has no watchdog event on a wedging run")
+	}
+	if !bytes.Equal(tr, readFile(t, path("alone.jsonl"))) {
+		t.Error("trace changed when the ring also fed -postmortem and -chrometrace")
+	}
+	if !bytes.Contains(readFile(t, path("all.json")), []byte(`"name":"msg `)) {
+		t.Error("chrome trace carries no engine message slices")
+	}
+}
+
 // TestRunLive paints the dashboard for a few hundred cycles into a
 // buffer.
 func TestRunLive(t *testing.T) {

@@ -88,7 +88,7 @@ func BenchmarkStepLowLoad(b *testing.B) {
 // observation the sweeps can now leave on; the telemetry variant runs
 // with Config.ChannelTelemetry, pricing the per-link congestion
 // counters (each budget is <= 10% over plain, still at zero allocs/op
-// — diff the set with cmd/benchdiff). The spans variant prices the
+// — compare variants with go test -bench). The spans variant prices the
 // serve layer's engine bridge: the same recorder ring, decoded into a
 // trace span every ring-length of cycles — the amortized cost of the
 // span-scoped engine view /traces serves. The sampler variant prices
@@ -121,7 +121,7 @@ func BenchmarkStepLoaded(b *testing.B) {
 			var rec *FlightRecorder
 			if variant.flightRe {
 				rec = NewFlightRecorder(4096)
-				n.SetFlightRecorder(rec)
+				n.SetTracer(rec)
 			}
 			var tracer *trace.Tracer
 			if variant.spans {
@@ -154,7 +154,7 @@ func BenchmarkStepLoaded(b *testing.B) {
 				}
 				if variant.spans && i%4096 == 4095 {
 					span := tracer.Start("engine.window", trace.Context{})
-					span.AttachEngine(toEngineEvents(rec.Events()))
+					span.AttachEngine(rec.Events())
 					span.End()
 				}
 			}
@@ -163,29 +163,10 @@ func BenchmarkStepLoaded(b *testing.B) {
 	}
 }
 
-// toEngineEvents mirrors the serve scheduler's conversion from the
-// engine's TraceEvent to the trace package's dependency-free mirror —
-// the exact copy the spans benchmark variant prices.
-func toEngineEvents(evs []TraceEvent) []trace.EngineEvent {
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]trace.EngineEvent, len(evs))
-	for i, e := range evs {
-		out[i] = trace.EngineEvent{
-			Cycle: e.Cycle, Kind: e.Kind, Msg: e.Msg,
-			Src: e.Src, Dst: e.Dst, Node: e.Node,
-			Dir: e.Dir, VC: e.VC, Flit: e.Flit, Cause: e.Cause,
-		}
-	}
-	return out
-}
-
 // BenchmarkStepLoadedTorus is BenchmarkStepLoaded's plain workload on
 // the 10×10 torus backend with the dateline XY discipline: the cost of
 // wrap links and wrap-class computation on the loaded per-cycle path
-// (same 0 allocs/op budget, gated by cmd/benchdiff like the rest of
-// the set).
+// (same 0 allocs/op budget as the rest of the set).
 func BenchmarkStepLoadedTorus(b *testing.B) {
 	var torus topology.Topology = topology.NewTorus(10, 10)
 	cfg := DefaultConfig()

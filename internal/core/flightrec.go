@@ -1,28 +1,30 @@
 package core
 
 import (
+	"bufio"
+	"encoding/json"
 	"io"
 
 	"wormmesh/internal/topology"
+	"wormmesh/internal/trace"
 )
 
-// Flight recorder. The JSONL Recorder is the right tool for offline
-// analysis of a whole run, but it is far too expensive to leave on
-// during a multi-hour sweep — every event is a JSON encode plus buffered
-// I/O. The FlightRecorder is the black-box counterpart: a fixed-capacity
-// ring buffer of compact binary events, appended with zero heap
-// allocations and zero RNG interaction, that always holds the LAST
-// capacity events of the run. When something goes wrong — the global
-// watchdog fires, a post-mortem is requested, an invariant trips — the
-// ring is decoded into the same TraceEvent shape the Recorder streams,
-// so every existing trace tool reads the dump unchanged.
+// Flight recorder: the engine's one event sink. A fixed-capacity ring
+// buffer of compact binary events, appended with zero heap allocations
+// and zero RNG interaction, that always holds the LAST capacity events
+// of the run. Every event consumer reads it:
+//   - a deadlock post-mortem attaches the ring's tail (postmortem.go);
+//   - meshsim -chrometrace and meshserve's job spans decode it into
+//     trace.EngineEvent;
+//   - an attached JSONL stream (Stream; meshsim -trace) receives the
+//     whole run: the ring encodes each event as it evicts it, and Flush
+//     encodes the events still held at run end.
 //
 // Recording is strictly read-only observation: no callback mutates the
 // network or draws from any RNG, so golden Stats are bit-identical with
 // the recorder on or off (locked in by internal/sim's golden tests).
-// The engine's disabled path stays one branch per event: the recorder
-// installs into the same n.tracer slot the JSONL Recorder uses, tee'd
-// when both are present (see SetFlightRecorder).
+// The recorder installs into the network's single observer slot
+// (SetTracer), so the disabled path stays one branch per event.
 
 // frKind is the compact event discriminator of one ring slot.
 type frKind uint8
@@ -62,12 +64,10 @@ type FlightRecorder struct {
 	next  int   // next slot to overwrite
 	total int64 // events ever recorded
 
-	// IncludeFlits controls whether per-flit link traversals are
-	// recorded (default true). Flit events dominate the volume, so a
-	// ring that should retain a long header-level history can drop them;
-	// a ring meant for deadlock post-mortems should keep them — the last
-	// flit movements show exactly where progress stopped.
-	IncludeFlits bool
+	// stream, when attached, receives every event as a JSON line;
+	// streamed counts the events already handed to it.
+	stream   *eventStream
+	streamed int64
 }
 
 // DefaultFlightRecorderEvents is the ring capacity drivers use when the
@@ -81,7 +81,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity < 1 {
 		capacity = DefaultFlightRecorderEvents
 	}
-	return &FlightRecorder{buf: make([]frEvent, 0, capacity), IncludeFlits: true}
+	return &FlightRecorder{buf: make([]frEvent, 0, capacity)}
 }
 
 // Cap returns the ring capacity in events.
@@ -94,20 +94,50 @@ func (f *FlightRecorder) Len() int { return len(f.buf) }
 // ring has since overwritten.
 func (f *FlightRecorder) Total() int64 { return f.total }
 
-// Reset empties the ring, retaining its storage.
+// Reset empties the ring, retaining its storage and any attached
+// stream.
 func (f *FlightRecorder) Reset() {
 	f.buf = f.buf[:0]
 	f.next = 0
 	f.total = 0
+	f.streamed = 0
+}
+
+// Stream attaches a JSONL stream: every event the ring holds or records
+// from then on reaches w as one JSON object per line, per-flit hops
+// only when includeFlits is set (they dominate the volume). The ring
+// itself always records flits. Call Flush at run end.
+func (f *FlightRecorder) Stream(w io.Writer, includeFlits bool) {
+	f.stream = newEventStream(w, includeFlits)
+}
+
+// Flush encodes the held events the stream has not seen yet, flushes
+// it and returns its first write error. The events stay in the ring for
+// other readers. Without a stream it does nothing.
+func (f *FlightRecorder) Flush() error {
+	if f.stream == nil {
+		return nil
+	}
+	first := f.total - int64(len(f.buf)) // sequence number of the oldest held event
+	for i := max(f.streamed-first, 0); i < int64(len(f.buf)); i++ {
+		f.stream.emit(f.at(int(i)))
+	}
+	f.streamed = f.total
+	return f.stream.flush()
 }
 
 // record appends one event, overwriting the oldest slot once the ring
-// is full. The two branches keep the append allocation-free: the grow
-// path re-slices within the preallocated capacity.
+// is full — after streaming it, unless a Flush already did. The two
+// branches keep the append allocation-free: the grow path re-slices
+// within the preallocated capacity.
 func (f *FlightRecorder) record(e frEvent) {
 	if len(f.buf) < cap(f.buf) {
 		f.buf = append(f.buf, e)
 	} else {
+		if f.stream != nil && f.total-int64(len(f.buf)) >= f.streamed {
+			f.stream.emit(f.buf[f.next])
+			f.streamed++
+		}
 		f.buf[f.next] = e
 		f.next++
 		if f.next == len(f.buf) {
@@ -132,9 +162,6 @@ func (f *FlightRecorder) HeaderRouted(m *Message, node topology.NodeID, ch Chann
 
 // FlitMoved implements Tracer.
 func (f *FlightRecorder) FlitMoved(fl Flit, from topology.NodeID, ch Channel, cycle int64) {
-	if !f.IncludeFlits {
-		return
-	}
 	f.record(frEvent{
 		cycle: cycle, kind: frFlit, msg: fl.Msg.ID, src: int32(fl.Msg.Src), dst: int32(fl.Msg.Dst),
 		node: int32(from), dir: uint8(ch.Dir), vc: ch.VC, flit: fl.Index,
@@ -160,9 +187,9 @@ func (f *FlightRecorder) WatchdogFired(victim *Message, cycle int64) {
 	f.record(e)
 }
 
-// decode expands one ring slot into the JSONL TraceEvent shape.
-func (e frEvent) decode() TraceEvent {
-	out := TraceEvent{
+// decode expands one ring slot into the EngineEvent shape.
+func (e frEvent) decode() trace.EngineEvent {
+	out := trace.EngineEvent{
 		Cycle: e.cycle, Kind: frKindNames[e.kind], Msg: e.msg,
 		Src: e.src, Dst: e.dst,
 	}
@@ -191,10 +218,10 @@ func (f *FlightRecorder) at(i int) frEvent {
 	return f.buf[j]
 }
 
-// Events decodes the held events, oldest first, into the TraceEvent
-// shape. It allocates; use it on the dump path, not per cycle.
-func (f *FlightRecorder) Events() []TraceEvent {
-	out := make([]TraceEvent, f.Len())
+// Events decodes the held events, oldest first. It allocates; use it on
+// the dump path, not per cycle.
+func (f *FlightRecorder) Events() []trace.EngineEvent {
+	out := make([]trace.EngineEvent, f.Len())
 	for i := range out {
 		out[i] = f.at(i).decode()
 	}
@@ -203,14 +230,14 @@ func (f *FlightRecorder) Events() []TraceEvent {
 
 // Last decodes the most recent n held events, oldest of those first.
 // n larger than Len returns everything.
-func (f *FlightRecorder) Last(n int) []TraceEvent {
+func (f *FlightRecorder) Last(n int) []trace.EngineEvent {
 	if n > f.Len() {
 		n = f.Len()
 	}
 	if n < 0 {
 		n = 0
 	}
-	out := make([]TraceEvent, n)
+	out := make([]trace.EngineEvent, n)
 	start := f.Len() - n
 	for i := range out {
 		out[i] = f.at(start + i).decode()
@@ -218,27 +245,40 @@ func (f *FlightRecorder) Last(n int) []TraceEvent {
 	return out
 }
 
-// WriteTrace dumps the held events as JSON lines — the same format the
-// live Recorder streams, so ReadTrace and tracesummary consume flight
-// dumps unchanged.
+// WriteTrace dumps the held events, flits included, as JSON lines in
+// the format of the -trace stream, so the same tools read both.
 func (f *FlightRecorder) WriteTrace(w io.Writer) error {
-	rec := NewRecorder(w)
+	s := newEventStream(w, true)
 	for i := 0; i < f.Len(); i++ {
-		rec.emit(f.at(i).decode())
+		s.emit(f.at(i))
 	}
-	return rec.Close()
+	return s.flush()
 }
 
-// SetFlightRecorder installs (or, with nil, removes) the flight
-// recorder. It composes with SetTracer through an internal tee: the
-// engine still branches on a single observer slot per event, so the
-// fully disabled path keeps its one-branch cost.
-func (n *Network) SetFlightRecorder(f *FlightRecorder) {
-	n.flight = f
-	n.rewireTracer()
+// eventStream JSON-encodes ring events as lines through a buffer. It
+// keeps the first write error and drops every event after it.
+type eventStream struct {
+	w     *bufio.Writer
+	enc   *json.Encoder
+	flits bool
+	err   error
 }
 
-// FlightRecorder returns the installed flight recorder, or nil. The
-// post-mortem layer uses it to attach the last recorded events to its
-// reports.
-func (n *Network) FlightRecorder() *FlightRecorder { return n.flight }
+func newEventStream(w io.Writer, flits bool) *eventStream {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	return &eventStream{w: bw, enc: json.NewEncoder(bw), flits: flits}
+}
+
+func (s *eventStream) emit(e frEvent) {
+	if s.err != nil || (e.kind == frFlit && !s.flits) {
+		return
+	}
+	s.err = s.enc.Encode(e.decode())
+}
+
+func (s *eventStream) flush() error {
+	if s.err == nil {
+		s.err = s.w.Flush()
+	}
+	return s.err
+}

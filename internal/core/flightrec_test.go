@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"reflect"
 	"testing"
 
 	"wormmesh/internal/topology"
+	"wormmesh/internal/trace"
 )
 
 // driveTraffic runs a small deterministic workload that produces all
@@ -23,51 +26,170 @@ func driveTraffic(t *testing.T, n *Network) {
 	}
 }
 
-// TestFlightRecorderMatchesRecorder locks in the dump-format contract:
-// with a ring deep enough to hold the whole run, the flight recorder's
-// decoded events are exactly the JSONL Recorder's stream — same events,
-// same order, same fields — so every trace tool reads both identically.
-func TestFlightRecorderMatchesRecorder(t *testing.T) {
+// oracleTracer is the independent reference for the event format: it
+// builds each event straight from the callback arguments, with none of
+// the flight recorder's packing, ring arithmetic or streaming.
+type oracleTracer struct {
+	NopTracer
+	events []trace.EngineEvent
+}
+
+func (o *oracleTracer) msgEvent(m *Message, kind string, cycle int64) trace.EngineEvent {
+	return trace.EngineEvent{Cycle: cycle, Kind: kind, Msg: m.ID, Src: int32(m.Src), Dst: int32(m.Dst)}
+}
+
+func (o *oracleTracer) MessageInjected(m *Message, cycle int64) {
+	o.events = append(o.events, o.msgEvent(m, "inject", cycle))
+}
+
+func (o *oracleTracer) HeaderRouted(m *Message, node topology.NodeID, ch Channel, cycle int64) {
+	e := o.msgEvent(m, "route", cycle)
+	e.Node, e.Dir, e.VC = int32(node), ch.Dir.String(), ch.VC
+	o.events = append(o.events, e)
+}
+
+func (o *oracleTracer) FlitMoved(f Flit, from topology.NodeID, ch Channel, cycle int64) {
+	e := o.msgEvent(f.Msg, "flit", cycle)
+	e.Node, e.Dir, e.VC, e.Flit = int32(from), ch.Dir.String(), ch.VC, f.Index
+	o.events = append(o.events, e)
+}
+
+func (o *oracleTracer) MessageDelivered(m *Message, cycle int64) {
+	o.events = append(o.events, o.msgEvent(m, "deliver", cycle))
+}
+
+func (o *oracleTracer) MessageKilled(m *Message, cause KillCause, cycle int64) {
+	e := o.msgEvent(m, "kill", cycle)
+	e.Cause = cause.String()
+	o.events = append(o.events, e)
+}
+
+func (o *oracleTracer) WatchdogFired(victim *Message, cycle int64) {
+	e := trace.EngineEvent{Cycle: cycle, Kind: "watchdog"}
+	if victim != nil {
+		e.Msg, e.Src, e.Dst = victim.ID, int32(victim.Src), int32(victim.Dst)
+	}
+	o.events = append(o.events, e)
+}
+
+// oracleRun records the driveTraffic workload with the oracle.
+func oracleRun(t *testing.T) []trace.EngineEvent {
+	t.Helper()
 	mesh := topology.New(4, 4)
 	n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
-	var buf bytes.Buffer
-	rec := NewRecorder(&buf)
-	rec.IncludeFlits = true
-	n.SetTracer(rec)
-	fr := NewFlightRecorder(4096)
-	n.SetFlightRecorder(fr)
-
+	o := &oracleTracer{}
+	n.SetTracer(o)
 	driveTraffic(t, n)
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
+	if len(o.events) == 0 {
+		t.Fatal("oracle saw no events")
 	}
-	want, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("recorder saw no events")
-	}
-	got := fr.Events()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("flight recorder events diverge from recorder stream:\n got %d events %+v\nwant %d events %+v",
-			len(got), got, len(want), want)
-	}
-	if fr.Total() != rec.Events() {
-		t.Errorf("Total = %d, recorder events = %d", fr.Total(), rec.Events())
-	}
+	return o.events
+}
 
-	// WriteTrace must round-trip through ReadTrace to the same events.
-	var dump bytes.Buffer
-	if err := fr.WriteTrace(&dump); err != nil {
-		t.Fatal(err)
+// withoutFlits returns events minus the per-flit hops.
+func withoutFlits(events []trace.EngineEvent) []trace.EngineEvent {
+	var out []trace.EngineEvent
+	for _, e := range events {
+		if e.Kind != "flit" {
+			out = append(out, e)
+		}
 	}
-	redecoded, err := ReadTrace(&dump)
-	if err != nil {
-		t.Fatal(err)
+	return out
+}
+
+// encodeLines renders events as JSON lines, one object per event.
+func encodeLines(t *testing.T, events []trace.EngineEvent) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, e := range events {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !reflect.DeepEqual(redecoded, want) {
-		t.Error("WriteTrace dump does not round-trip to the recorder stream")
+	return buf.Bytes()
+}
+
+// readTrace parses a JSONL event stream back into events.
+func readTrace(t *testing.T, rd io.Reader) []trace.EngineEvent {
+	t.Helper()
+	var out []trace.EngineEvent
+	dec := json.NewDecoder(rd)
+	for dec.More() {
+		var e trace.EngineEvent
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// TestFlightRecorderMatchesRecorder locks in the event-format contract
+// against the oracle: the ring's decoded tail (Events, WriteTrace) is
+// the oracle's tail, and the JSONL stream is byte for byte the oracle's
+// whole run — whether the run fits in the ring or wraps it several
+// times, with flits streamed or filtered out.
+func TestFlightRecorderMatchesRecorder(t *testing.T) {
+	want := oracleRun(t)
+	for _, c := range []struct {
+		name     string
+		capacity int
+		flits    bool
+	}{
+		{"fits", 4096, true},
+		{"fits/no-flits", 4096, false},
+		{"wraps", 8, true},
+		{"wraps/no-flits", 8, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.capacity < len(want) && len(want) < 3*c.capacity {
+				t.Fatalf("%d events wrap a %d-event ring less than three times", len(want), c.capacity)
+			}
+			mesh := topology.New(4, 4)
+			n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
+			fr := NewFlightRecorder(c.capacity)
+			var stream bytes.Buffer
+			fr.Stream(&stream, c.flits)
+			n.SetTracer(fr)
+			driveTraffic(t, n)
+			if err := fr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+
+			if fr.Total() != int64(len(want)) {
+				t.Errorf("Total = %d, oracle saw %d events", fr.Total(), len(want))
+			}
+			tail := want[max(len(want)-c.capacity, 0):]
+			if got := fr.Events(); !reflect.DeepEqual(got, tail) {
+				t.Errorf("Events diverge from the oracle's tail:\n got %d events %+v\nwant %d events %+v",
+					len(got), got, len(tail), tail)
+			}
+			var dump bytes.Buffer
+			if err := fr.WriteTrace(&dump); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(dump.Bytes(), encodeLines(t, tail)) {
+				t.Error("WriteTrace dump differs from the oracle's tail")
+			}
+			streamWant := want
+			if !c.flits {
+				streamWant = withoutFlits(want)
+			}
+			if !bytes.Equal(stream.Bytes(), encodeLines(t, streamWant)) {
+				t.Errorf("stream differs from the oracle's run: %d events, want %d",
+					len(readTrace(t, bytes.NewReader(stream.Bytes()))), len(streamWant))
+			}
+
+			// A second Flush streams nothing twice.
+			before := stream.Len()
+			if err := fr.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if stream.Len() != before {
+				t.Errorf("second Flush wrote %d more bytes", stream.Len()-before)
+			}
+		})
 	}
 }
 
@@ -75,24 +197,14 @@ func TestFlightRecorderMatchesRecorder(t *testing.T) {
 // overflow: the recorder holds exactly the LAST capacity events of the
 // run, oldest first, and Last(n) returns a suffix of that.
 func TestFlightRecorderRingWrap(t *testing.T) {
+	full := oracleRun(t)
 	mesh := topology.New(4, 4)
 	n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
-	var buf bytes.Buffer
-	rec := NewRecorder(&buf)
-	rec.IncludeFlits = true
-	n.SetTracer(rec)
 	const capEvents = 8
 	fr := NewFlightRecorder(capEvents)
-	n.SetFlightRecorder(fr)
+	n.SetTracer(fr)
 
 	driveTraffic(t, n)
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(full) <= capEvents {
 		t.Fatalf("workload produced only %d events, need > %d to wrap", len(full), capEvents)
 	}
@@ -122,25 +234,33 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderExcludesFlits checks the volume knob: with
-// IncludeFlits off, per-flit link traversals are dropped while the
-// header-level events stay.
+// TestFlightRecorderExcludesFlits checks the volume knob: a stream
+// without flits drops the per-flit link traversals while the
+// header-level events stay — and the ring itself still records the
+// flits, so post-mortems sharing it see where progress stopped.
 func TestFlightRecorderExcludesFlits(t *testing.T) {
 	mesh := topology.New(4, 4)
 	n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
 	fr := NewFlightRecorder(4096)
-	fr.IncludeFlits = false
-	n.SetFlightRecorder(fr)
+	var stream bytes.Buffer
+	fr.Stream(&stream, false)
+	n.SetTracer(fr)
 	driveTraffic(t, n)
+	if err := fr.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	kinds := map[string]int{}
-	for _, e := range fr.Events() {
+	for _, e := range readTrace(t, &stream) {
 		kinds[e.Kind]++
 	}
 	if kinds["flit"] != 0 {
-		t.Errorf("recorded %d flit events despite IncludeFlits=false", kinds["flit"])
+		t.Errorf("streamed %d flit events without flits", kinds["flit"])
 	}
 	if kinds["inject"] != 2 || kinds["deliver"] != 2 {
 		t.Errorf("kinds = %v, want 2 injects and 2 delivers", kinds)
+	}
+	if SummarizeTrace(fr.Events()).FlitMoves == 0 {
+		t.Error("ring dropped the flit events the stream filtered")
 	}
 }
 
@@ -151,7 +271,7 @@ func TestFlightRecorderSummarizes(t *testing.T) {
 	mesh := topology.New(4, 4)
 	n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
 	fr := NewFlightRecorder(4096)
-	n.SetFlightRecorder(fr)
+	n.SetTracer(fr)
 	driveTraffic(t, n)
 	s := SummarizeTrace(fr.Events())
 	if s.Messages != 2 || s.Delivered != 2 || s.Killed != 0 {
@@ -171,7 +291,7 @@ func TestStepLoadedAllocsWithFlightRecorder(t *testing.T) {
 
 	n, rng, id := loadNetwork(t, mesh)
 	fr := NewFlightRecorder(1024)
-	n.SetFlightRecorder(fr)
+	n.SetTracer(fr)
 	// Prime the ring past its first wrap so the append path is the
 	// overwrite branch throughout the measured region.
 	for i := 0; i < 50; i++ {

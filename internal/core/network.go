@@ -69,15 +69,12 @@ type Network struct {
 	linkBlocked []int64
 	linkOnRing  []bool
 
-	// Observation. tracer is the single slot the engine branches on per
-	// event (nil = disabled, one branch). It is derived from the two
-	// installable observers — the user Tracer and the FlightRecorder —
-	// by rewireTracer, tee'ing when both are present. postmortemFn,
-	// when set, receives a Diagnose() report each time the global
-	// watchdog fires, before the victim is torn down.
+	// Observation. tracer is the one event observer the engine
+	// branches on per event (nil = disabled, one branch); in production
+	// it is the FlightRecorder. postmortemFn, when set, receives a
+	// Diagnose() report each time the global watchdog fires, before the
+	// victim is torn down.
 	tracer       Tracer
-	userTracer   Tracer
-	flight       *FlightRecorder
 	postmortemFn func(*Postmortem)
 
 	// Reused scratch buffers (inner-loop allocation avoidance).
@@ -272,8 +269,6 @@ func (n *Network) Reset(f *fault.Model, alg Algorithm, rng *rand.Rand) error {
 	n.statsStart = 0
 	n.msgSeq = 0
 	n.tracer = nil
-	n.userTracer = nil
-	n.flight = nil
 	n.postmortemFn = nil
 	n.stats.reset()
 	n.resetLinkCounters()

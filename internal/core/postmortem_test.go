@@ -291,7 +291,7 @@ func TestWatchdogPostmortemHook(t *testing.T) {
 	cfg := deadlockConfig()
 	cfg.DeadlockCycles = 50
 	n := newTestNetwork(t, mesh, nil, newRingAlg(mesh, loop, 1), cfg, 1)
-	n.SetFlightRecorder(NewFlightRecorder(256))
+	n.SetTracer(NewFlightRecorder(256))
 	var reports []*Postmortem
 	n.SetPostmortemHook(func(pm *Postmortem) { reports = append(reports, pm) })
 

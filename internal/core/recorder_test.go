@@ -2,30 +2,35 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"wormmesh/internal/topology"
 )
 
+// streamRecorder installs a flight recorder small enough to wrap on
+// every workload below, streaming into w.
+func streamRecorder(n *Network, w io.Writer, flits bool) *FlightRecorder {
+	fr := NewFlightRecorder(4)
+	fr.Stream(w, flits)
+	n.SetTracer(fr)
+	return fr
+}
+
 func TestRecorderRoundTrip(t *testing.T) {
 	mesh := topology.New(4, 4)
 	n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
 	var buf bytes.Buffer
-	rec := NewRecorder(&buf)
-	rec.IncludeFlits = true
-	n.SetTracer(rec)
+	rec := streamRecorder(n, &buf, true)
 
 	m := offer(t, n, 42, topology.Coord{X: 0, Y: 0}, topology.Coord{X: 2, Y: 1}, 3)
 	stepUntilDelivered(t, n, m, 100)
-	if err := rec.Close(); err != nil {
+	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(events)) != rec.Events() {
-		t.Fatalf("parsed %d events, recorder says %d", len(events), rec.Events())
+	events := readTrace(t, &buf)
+	if int64(len(events)) != rec.Total() {
+		t.Fatalf("parsed %d events, recorder says %d", len(events), rec.Total())
 	}
 	kinds := map[string]int{}
 	for _, e := range events {
@@ -56,20 +61,19 @@ func TestRecorderWithoutFlits(t *testing.T) {
 	mesh := topology.New(4, 4)
 	n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
 	var buf bytes.Buffer
-	rec := NewRecorder(&buf)
-	n.SetTracer(rec)
+	rec := streamRecorder(n, &buf, false)
 	m := offer(t, n, 1, topology.Coord{X: 0, Y: 0}, topology.Coord{X: 3, Y: 0}, 5)
 	stepUntilDelivered(t, n, m, 100)
-	if err := rec.Close(); err != nil {
+	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
+	events := readTrace(t, &buf)
+	if len(events) == 0 {
+		t.Fatal("stream carried no events")
 	}
 	for _, e := range events {
 		if e.Kind == "flit" {
-			t.Fatal("flit event recorded despite IncludeFlits=false")
+			t.Fatal("flit event streamed without flits")
 		}
 	}
 }
@@ -87,9 +91,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 func TestRecorderSurfacesWriteErrors(t *testing.T) {
 	mesh := topology.New(4, 4)
 	n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
-	rec := NewRecorder(&failWriter{})
-	rec.IncludeFlits = true
-	n.SetTracer(rec)
+	rec := streamRecorder(n, &failWriter{}, true)
 	for i := 0; i < 3000; i++ {
 		if i%3 == 0 {
 			id := n.NextMessageID()
@@ -101,7 +103,7 @@ func TestRecorderSurfacesWriteErrors(t *testing.T) {
 		}
 		n.Step()
 	}
-	if rec.Close() == nil {
+	if rec.Flush() == nil {
 		t.Error("write error not surfaced")
 	}
 }
@@ -110,9 +112,7 @@ func TestSummarizeTrace(t *testing.T) {
 	mesh := topology.New(5, 5)
 	n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
 	var buf bytes.Buffer
-	rec := NewRecorder(&buf)
-	rec.IncludeFlits = true
-	n.SetTracer(rec)
+	rec := streamRecorder(n, &buf, true)
 	a := offer(t, n, 1, topology.Coord{X: 0, Y: 0}, topology.Coord{X: 4, Y: 0}, 5)
 	b := offer(t, n, 2, topology.Coord{X: 0, Y: 4}, topology.Coord{X: 4, Y: 4}, 5)
 	for !a.Delivered() || !b.Delivered() {
@@ -121,14 +121,10 @@ func TestSummarizeTrace(t *testing.T) {
 			t.Fatal("not delivered")
 		}
 	}
-	if err := rec.Close(); err != nil {
+	if err := rec.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := SummarizeTrace(events)
+	s := SummarizeTrace(readTrace(t, &buf))
 	if s.Messages != 2 || s.Delivered != 2 || s.Killed != 0 {
 		t.Fatalf("summary = %+v", s)
 	}

@@ -296,7 +296,7 @@ func TestLatencyDecompositionSums(t *testing.T) {
 }
 
 type decompChecker struct {
-	nopTracer
+	NopTracer
 	t         *testing.T
 	delivered int
 }
@@ -317,13 +317,3 @@ func (c *decompChecker) MessageKilled(m *Message, cause KillCause, cycle int64) 
 		c.t.Errorf("killed msg#%d decomposition %d != lifetime %d", m.ID, got, want)
 	}
 }
-
-// nopTracer implements Tracer with no-ops for embedding.
-type nopTracer struct{}
-
-func (nopTracer) MessageInjected(*Message, int64)                        {}
-func (nopTracer) HeaderRouted(*Message, topology.NodeID, Channel, int64) {}
-func (nopTracer) FlitMoved(Flit, topology.NodeID, Channel, int64)        {}
-func (nopTracer) MessageDelivered(*Message, int64)                       {}
-func (nopTracer) MessageKilled(*Message, KillCause, int64)               {}
-func (nopTracer) WatchdogFired(*Message, int64)                          {}

@@ -35,9 +35,10 @@ func (c KillCause) String() string {
 
 // Tracer observes engine events. All callbacks run synchronously on
 // the simulation goroutine; implementations must be fast and must not
-// mutate the network. A nil tracer (the default) costs one branch per
-// event; installing both a Tracer and a FlightRecorder fans out through
-// an internal tee, keeping that single branch on the disabled path.
+// mutate the network. The network has one observer slot: a nil tracer
+// (the default) costs one branch per event. The FlightRecorder is the
+// production observer; tests plug their own Tracers in to check
+// wormhole ordering, fault avoidance and similar properties.
 type Tracer interface {
 	// MessageInjected fires when a header flit leaves its source
 	// queue.
@@ -60,69 +61,9 @@ type Tracer interface {
 	WatchdogFired(victim *Message, cycle int64)
 }
 
-// SetTracer installs (or, with nil, removes) the event observer. It
-// composes with SetFlightRecorder: when both are installed, events fan
-// out to the flight recorder first, then the tracer.
-func (n *Network) SetTracer(t Tracer) {
-	n.userTracer = t
-	n.rewireTracer()
-}
-
-// rewireTracer folds the user tracer and the flight recorder into the
-// single n.tracer observation point the engine branches on. The tee is
-// rebuilt on every (re)wire — it is one small allocation per install,
-// never per event.
-func (n *Network) rewireTracer() {
-	switch {
-	case n.flight != nil && n.userTracer != nil:
-		n.tracer = &teeTracer{first: n.flight, second: n.userTracer}
-	case n.flight != nil:
-		n.tracer = n.flight
-	default:
-		n.tracer = n.userTracer
-	}
-}
-
-// teeTracer fans every event out to two observers in order.
-type teeTracer struct {
-	first, second Tracer
-}
-
-// MessageInjected implements Tracer.
-func (t *teeTracer) MessageInjected(m *Message, cycle int64) {
-	t.first.MessageInjected(m, cycle)
-	t.second.MessageInjected(m, cycle)
-}
-
-// HeaderRouted implements Tracer.
-func (t *teeTracer) HeaderRouted(m *Message, node topology.NodeID, ch Channel, cycle int64) {
-	t.first.HeaderRouted(m, node, ch, cycle)
-	t.second.HeaderRouted(m, node, ch, cycle)
-}
-
-// FlitMoved implements Tracer.
-func (t *teeTracer) FlitMoved(f Flit, from topology.NodeID, ch Channel, cycle int64) {
-	t.first.FlitMoved(f, from, ch, cycle)
-	t.second.FlitMoved(f, from, ch, cycle)
-}
-
-// MessageDelivered implements Tracer.
-func (t *teeTracer) MessageDelivered(m *Message, cycle int64) {
-	t.first.MessageDelivered(m, cycle)
-	t.second.MessageDelivered(m, cycle)
-}
-
-// MessageKilled implements Tracer.
-func (t *teeTracer) MessageKilled(m *Message, cause KillCause, cycle int64) {
-	t.first.MessageKilled(m, cause, cycle)
-	t.second.MessageKilled(m, cause, cycle)
-}
-
-// WatchdogFired implements Tracer.
-func (t *teeTracer) WatchdogFired(victim *Message, cycle int64) {
-	t.first.WatchdogFired(victim, cycle)
-	t.second.WatchdogFired(victim, cycle)
-}
+// SetTracer installs (or, with nil, removes) the network's event
+// observer. Reset removes it.
+func (n *Network) SetTracer(t Tracer) { n.tracer = t }
 
 // NopTracer implements Tracer with empty methods; embed it to observe
 // a subset of events.

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"wormmesh/internal/trace"
 )
 
 // TraceSummary aggregates a recorded event stream into per-message
@@ -37,10 +39,11 @@ type NodeActivity struct {
 	Routed int
 }
 
-// SummarizeTrace folds a parsed event stream (ReadTrace) into a
-// summary. Events may be partial (e.g. a run cut short): messages
-// without a deliver event simply stay undelivered in the counts.
-func SummarizeTrace(events []TraceEvent) TraceSummary {
+// SummarizeTrace folds a decoded event stream (a -trace file or a
+// flight-recorder dump) into a summary. Events may be partial (e.g. a
+// run cut short, or a ring's tail): messages without a deliver event
+// simply stay undelivered in the counts.
+func SummarizeTrace(events []trace.EngineEvent) TraceSummary {
 	s := TraceSummary{
 		Hops:          map[int64]int{},
 		Journeys:      map[int64]int64{},

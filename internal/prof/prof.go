@@ -5,9 +5,9 @@
 //	meshsim -rate 0.02 -cycles 200000 -cpuprofile cpu.out
 //	go tool pprof cpu.out
 //
-// bench.sh's "profile" mode is the benchmark-side counterpart (it uses
-// go test's own -cpuprofile plumbing); this package exists for
-// profiling real experiment workloads rather than micro-benchmarks.
+// go test's own -cpuprofile flag is the benchmark-side counterpart;
+// this package exists for profiling real experiment workloads rather
+// than micro-benchmarks.
 package prof
 
 import (

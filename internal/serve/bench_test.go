@@ -77,8 +77,7 @@ func warmHitLoop(b *testing.B, ts *httptest.Server) {
 // bridge — the baseline that prices observability. The dominant traced
 // cost is not per-span work but the GC re-scanning the long-lived
 // completed-span ring, so the delta is bounded by ring capacity, not
-// request rate. Diff each variant like-for-like across digests with
-// cmd/benchdiff.
+// request rate. Compare each variant like-for-like across builds.
 func BenchmarkServeWarmHit(b *testing.B) {
 	for _, variant := range []struct {
 		name string

@@ -47,10 +47,7 @@ func Normalize(p sim.Params) (sim.Params, error) {
 
 	// Observers: recording is read-only, so observed and unobserved runs
 	// share a cache entry.
-	p.TraceWriter = nil
-	p.TraceFlits = false
 	p.PostmortemWriter = nil
-	p.FlightRecorderEvents = 0
 	p.FlightRecorder = nil
 	p.Metrics = nil
 	p.Sampler = nil

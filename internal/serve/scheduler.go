@@ -385,7 +385,7 @@ func (s *Scheduler) worker() {
 		}
 		if rec != nil {
 			runSpan.Set("engine_events", rec.Total())
-			runSpan.AttachEngine(EngineEvents(rec.Events()))
+			runSpan.AttachEngine(rec.Events())
 		}
 		if sampler != nil && runSpan != nil {
 			runSpan.Set("windows", sampler.Seq())
@@ -452,30 +452,10 @@ func (s *Scheduler) worker() {
 	}
 }
 
-// EngineEvents converts the engine's decoded flight-recorder events
-// into the trace layer's mirror struct, for job spans here and for
-// meshsim -chrometrace. The copy exists because internal/trace must
-// stay engine-import-free (core's own benchmarks import trace); the
-// field sets match one to one.
-func EngineEvents(evs []core.TraceEvent) []trace.EngineEvent {
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]trace.EngineEvent, len(evs))
-	for i, e := range evs {
-		out[i] = trace.EngineEvent{
-			Cycle: e.Cycle, Kind: e.Kind, Msg: e.Msg,
-			Src: e.Src, Dst: e.Dst, Node: e.Node,
-			Dir: e.Dir, VC: e.VC, Flit: e.Flit, Cause: e.Cause,
-		}
-	}
-	return out
-}
-
 // WindowPoints converts a sampler's retained series into the trace
-// layer's dependency-free mirror (same rationale as EngineEvents),
-// deriving each window's normalized throughput from the sampler's
-// healthy-node count.
+// layer's dependency-free mirror (internal/trace imports no engine
+// package), deriving each window's normalized throughput from the
+// sampler's healthy-node count.
 func WindowPoints(s *core.WindowSampler) []trace.WindowPoint {
 	snaps := s.Since(0)
 	if len(snaps) == 0 {

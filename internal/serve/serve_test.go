@@ -93,7 +93,7 @@ func TestKeyNormalization(t *testing.T) {
 
 	// Observers never change Stats: an observed request shares the key.
 	traced := explicit
-	traced.TraceWriter = &bytes.Buffer{}
+	traced.FlightRecorder = core.NewFlightRecorder(0)
 	traced.Sampler = core.NewWindowSampler(100, 0)
 	traced.Config.ChannelTelemetry = true
 	kt, _, _ := Key(traced)
@@ -263,12 +263,20 @@ func TestBackpressure(t *testing.T) {
 	defer close(release)
 
 	// Occupy the worker, then the single queue slot, with distinct keys.
+	// The worker must dequeue request 0 before request 1 arrives, or
+	// request 1 finds the slot still taken.
 	for i := 0; i < 2; i++ {
 		p := quickParams()
 		p.Seed = int64(100 + i)
 		resp, _ := postRun(t, ts.URL, p, false)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("setup request %d: status %d", i, resp.StatusCode)
+		}
+		if i == 0 {
+			deadline := time.Now().Add(time.Second)
+			for s.sched.QueueDepth() > 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
 		}
 	}
 	// Give the worker a moment to dequeue the first job.

@@ -8,11 +8,11 @@ import (
 // SweepCache adapts the result cache to sweep.Cache so offline drivers
 // (experiments -cache, meshsim -cache, hybrid sweeps) read and feed the
 // same store the server does. Points carrying observers the cache
-// cannot reproduce — trace or postmortem writers, live metrics, window
-// or per-link telemetry collection — bypass Lookup (the caller wants
-// the side effects, not just the Stats) but still Store their results:
-// observation never perturbs Stats, so the entry is valid for future
-// observer-free requests.
+// cannot reproduce — a flight recorder (trace stream), a postmortem
+// writer, live metrics, window or per-link telemetry collection —
+// bypass Lookup (the caller wants the side effects, not just the
+// Stats) but still Store their results: observation never perturbs
+// Stats, so the entry is valid for future observer-free requests.
 type SweepCache struct {
 	cache *Cache
 }
@@ -23,8 +23,8 @@ func NewSweepCache(c *Cache) *SweepCache { return &SweepCache{cache: c} }
 // observed reports whether p requests side effects a cached Stats
 // cannot reproduce.
 func observed(p sim.Params) bool {
-	return p.TraceWriter != nil || p.PostmortemWriter != nil || p.Metrics != nil ||
-		p.FlightRecorder != nil || p.Sampler != nil || p.Config.ChannelTelemetry
+	return p.FlightRecorder != nil || p.PostmortemWriter != nil || p.Metrics != nil ||
+		p.Sampler != nil || p.Config.ChannelTelemetry
 }
 
 // Lookup implements sweep.Cache.

@@ -2,8 +2,12 @@ package sim
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
+
+	"wormmesh/internal/core"
 )
 
 // TestFlightRecorderGoldenNeutral locks in the observation contract:
@@ -12,7 +16,7 @@ import (
 func TestFlightRecorderGoldenNeutral(t *testing.T) {
 	base := goldenRun(t)
 	p := goldenParams()
-	p.FlightRecorderEvents = 512
+	p.FlightRecorder = core.NewFlightRecorder(512)
 	res, err := Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +97,7 @@ func TestPostmortemGoldenNeutral(t *testing.T) {
 	observed := p
 	var pmBuf bytes.Buffer
 	observed.PostmortemWriter = &pmBuf
-	observed.FlightRecorderEvents = 256
+	observed.FlightRecorder = core.NewFlightRecorder(256)
 	res, err := Run(observed)
 	if err != nil {
 		t.Fatal(err)
@@ -108,8 +112,8 @@ func TestPostmortemGoldenNeutral(t *testing.T) {
 }
 
 // TestRunnerFlightRecorderNeutral checks the reuse path too: a Runner
-// executing the golden scenario with observation enabled between two
-// plain runs stays bit-identical throughout.
+// executing the golden scenario with a streaming flight recorder
+// between two plain runs stays bit-identical throughout.
 func TestRunnerFlightRecorderNeutral(t *testing.T) {
 	r := NewRunner()
 	defer r.Close()
@@ -117,7 +121,10 @@ func TestRunnerFlightRecorderNeutral(t *testing.T) {
 	p := goldenParams()
 	for i, variant := range []func(*Params){
 		func(p *Params) {},
-		func(p *Params) { p.FlightRecorderEvents = 512 },
+		func(p *Params) {
+			p.FlightRecorder = core.NewFlightRecorder(512)
+			p.FlightRecorder.Stream(io.Discard, true)
+		},
 		func(p *Params) {},
 	} {
 		q := p
@@ -129,6 +136,23 @@ func TestRunnerFlightRecorderNeutral(t *testing.T) {
 		if !statsEqual(base, res.Stats) {
 			t.Errorf("runner pass %d diverged from one-shot golden Stats", i)
 		}
+	}
+}
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestTraceWriteErrorFailsRun: a flight-recorder stream whose writer
+// fails turns the run into a "sim: trace:" error rather than a
+// silently truncated trace.
+func TestTraceWriteErrorFailsRun(t *testing.T) {
+	p := goldenParams()
+	p.FlightRecorder = core.NewFlightRecorder(64)
+	p.FlightRecorder.Stream(failingWriter{}, false)
+	_, err := Run(p)
+	if err == nil || !strings.HasPrefix(err.Error(), "sim: trace: ") || !errors.Is(err, io.ErrClosedPipe) {
+		t.Errorf("err = %v, want a sim: trace: error wrapping the write error", err)
 	}
 }
 

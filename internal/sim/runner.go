@@ -223,22 +223,16 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 		r.net = net
 	}
 	net := r.net
-	var recorder *core.Recorder
-	if p.TraceWriter != nil {
-		recorder = core.NewRecorder(p.TraceWriter)
-		recorder.IncludeFlits = p.TraceFlits
-		net.SetTracer(recorder)
-	}
 	// Observability. Recording and diagnosis are strictly read-only
 	// (no engine mutation, no RNG draws), so none of this changes the
 	// run's statistics — the flightrec golden test locks that in.
-	if p.FlightRecorder != nil {
-		p.FlightRecorder.Reset()
-		net.SetFlightRecorder(p.FlightRecorder)
-	} else if p.FlightRecorderEvents > 0 {
-		net.SetFlightRecorder(core.NewFlightRecorder(p.FlightRecorderEvents))
-	} else if p.PostmortemWriter != nil {
-		net.SetFlightRecorder(core.NewFlightRecorder(0)) // default capacity
+	rec := p.FlightRecorder
+	if rec == nil && p.PostmortemWriter != nil {
+		rec = core.NewFlightRecorder(0) // default capacity
+	}
+	if rec != nil {
+		rec.Reset()
+		net.SetTracer(rec)
 	}
 	var pmErr error
 	if p.PostmortemWriter != nil {
@@ -358,8 +352,8 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 	if stopper != nil {
 		res.Stats.LatencyCIHalf = stopper.half
 	}
-	if recorder != nil {
-		if err := recorder.Close(); err != nil {
+	if rec != nil {
+		if err := rec.Flush(); err != nil {
 			return res, fmt.Errorf("sim: trace: %w", err)
 		}
 	}

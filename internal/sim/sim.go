@@ -62,30 +62,21 @@ type Params struct {
 	StopRelPrecision float64
 	// Deprecated: ignored; the engine is serial.
 	EngineWorkers int
-	// TraceWriter, when non-nil, receives the engine's event stream
-	// as JSON lines (core.Recorder); TraceFlits additionally records
-	// every flit hop. Writers are excluded from JSON manifests.
-	TraceWriter io.Writer `json:"-"`
-	TraceFlits  bool
 
 	// PostmortemWriter, when non-nil, receives a rendered deadlock
 	// post-mortem (core.Postmortem.Render) each time the global
 	// watchdog fires: the message→VC wait-for graph captured before
-	// the recovery victim is torn down. Setting it also installs a
-	// flight recorder so reports carry the last engine events.
+	// the recovery victim is torn down. Without a FlightRecorder the
+	// run gets one at the default capacity, so reports carry the last
+	// engine events.
 	PostmortemWriter io.Writer `json:"-"`
-	// FlightRecorderEvents, when > 0, installs a core.FlightRecorder
-	// with that ring capacity for the run — a zero-allocation black
-	// box cheap enough to leave on during sweeps. Zero leaves it off
-	// unless PostmortemWriter is set, which installs one at the
-	// default capacity (core.DefaultFlightRecorderEvents).
-	FlightRecorderEvents int
-	// FlightRecorder, when non-nil, installs this specific recorder
-	// for the run instead of building one — the serve layer's engine
-	// bridge hands each job its own ring and decodes it into trace
-	// spans after the run. Takes precedence over FlightRecorderEvents.
-	// Like every observer it never changes Stats and is excluded from
-	// JSON manifests.
+	// FlightRecorder, when non-nil, is the run's engine event sink: the
+	// runner Resets it, installs it as the network's observer and, at
+	// run end, Flushes its JSONL stream (core.FlightRecorder.Stream) —
+	// a stream write error fails the run as "sim: trace: ...". One ring
+	// serves a -trace stream, post-mortem tails and Chrome or span
+	// dumps together. Like every observer it never changes Stats and is
+	// excluded from JSON manifests.
 	FlightRecorder *core.FlightRecorder `json:"-"`
 
 	// Metrics, when non-nil, receives live engine telemetry every 1024

@@ -3,9 +3,9 @@
 // and typed-ish attributes, collected into a fixed-capacity ring of
 // completed spans. It is deliberately zero-dependency (stdlib only, no
 // engine imports) so any layer — HTTP handlers, the scheduler, CLIs —
-// can emit spans without coupling, and the engine's own event stream
-// (the flight recorder's binary ring) bridges in as EngineEvents
-// attached to a span rather than as a package dependency.
+// can emit spans without coupling. It also declares EngineEvent, the
+// one decoded shape of an engine event: the engine imports this package
+// for it, and spans carry the flight recorder's events in that shape.
 //
 // The design mirrors the engine's observability contract: emitting a
 // span never blocks the traced work beyond a mutex'd ring append, a nil
@@ -102,12 +102,10 @@ type Attr struct {
 	Value any
 }
 
-// EngineEvent is one decoded engine flight-recorder event attached to a
-// span: the bridge between the service's wall-clock timeline and the
-// engine's cycle timeline. The field set mirrors the engine's
-// TraceEvent shape one to one (kept as a separate struct so this
-// package stays free of engine imports); cycles are the time base, not
-// wall time.
+// EngineEvent is one decoded engine event: a line of the engine's
+// JSONL event stream (meshsim -trace), an entry of a flight-recorder
+// dump or post-mortem tail, and the engine history a span carries on
+// the cycle timeline. Cycles are the time base, not wall time.
 type EngineEvent struct {
 	Cycle int64  `json:"cycle"`
 	Kind  string `json:"kind"` // inject | route | flit | deliver | kill | watchdog
@@ -118,6 +116,7 @@ type EngineEvent struct {
 	Dir   string `json:"dir,omitempty"`
 	VC    uint8  `json:"vc,omitempty"`
 	Flit  int32  `json:"flit,omitempty"`
+	// Cause qualifies kill events: global | stall | livelock.
 	Cause string `json:"cause,omitempty"`
 }
 

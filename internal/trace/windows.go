@@ -2,9 +2,8 @@ package trace
 
 // WindowPoint is one window of a run's time-resolved telemetry series,
 // the dependency-free mirror of core.WindowSnapshot (minus the bulky
-// per-link rows) — the same role EngineEvent plays for core.TraceEvent.
-// The sim layers convert at the bridge so this package stays free of
-// engine imports.
+// per-link rows). The serve layer converts at the bridge
+// (serve.WindowPoints) so this package stays free of engine imports.
 type WindowPoint struct {
 	Seq   int64 `json:"seq"`
 	Start int64 `json:"start"`
