@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"wormmesh/internal/topology"
 )
@@ -107,6 +108,16 @@ func TestValidateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Validate allocates %.2f objects/call, want 0", allocs)
+	}
+}
+
+// TestVCStateSize holds the per-VC record at one 64-byte cache line:
+// a router's VC array is the engine's largest structure (4 × NumVCs
+// records per router), so a wider record shows up directly in resident
+// memory and in the switch phase's cache misses.
+func TestVCStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(vcState{}); got > 64 {
+		t.Errorf("vcState is %d bytes, want <= 64", got)
 	}
 }
 

@@ -54,6 +54,7 @@ type Message struct {
 	acctFrom      int64 // last cycle already attributed (decomposition)
 	acctMoved     int64 // cycle of the last accounted move, -1 never
 	ringSince     int64 // cycle the open f-ring traversal began, -1 none
+	blockedAt     int64 // 1 + cycle the header last failed VC allocation here, 0 none
 	acctState     uint8 // wait bucket for unattributed cycles
 	pooled        bool  // drawn from the network's arena; recycled on completion
 	Killed        bool  // torn down by deadlock recovery

@@ -83,16 +83,23 @@ type Network struct {
 	sameCh   []Channel
 	requests []request
 	moves    []move
-	// sendq buckets the current router's routed VCs by output direction
-	// (in r.active order); sendVCs is the per-output sender list built
-	// from one bucket, with nil marking the injection slot. Both are
-	// switch-phase scratch, truncated per router.
+	// vcBuf is the current router's pend set sorted into active-list
+	// order. sendq buckets its ready set by output direction, each
+	// bucket sorted the same way; sendVCs is one output's sender list
+	// drawn from a bucket, with nil marking the injection slot. All are
+	// per-router scratch.
+	vcBuf    []*vcState
 	sendq    [NumPorts][]*vcState
 	sendVCs  []*vcState
 	victims  []victim
 	outOrder [NumPorts]topology.Direction
 	dirBuf   []topology.Direction
 	msgSeq   int64
+
+	// freed[id] is 1 + the last cycle in which router id released an
+	// input VC, 0 if never: the only event that can turn a failed VC
+	// allocation next door into a successful one (routingPhase).
+	freed []int64
 
 	// Validator scratch (epoch-stamped, never cleared): valSeen[code]
 	// == valEpoch marks localChannel code active in the router under
@@ -169,12 +176,14 @@ func NewNetwork(m topology.Topology, f *fault.Model, alg Algorithm, cfg Config, 
 		for code := range r.vcs {
 			s := &r.vcs[code]
 			s.activeIdx = -1
-			s.stagedIn = -1
-			s.stagedOut = -1
+			s.readyIdx = -1
+			s.pendIdx = -1
+			s.node = r.id
 			s.port = int8(code / cfg.NumVCs)
 			s.idx = uint8(code % cfg.NumVCs)
 		}
 	}
+	n.freed = make([]int64, m.NodeCount())
 	n.busy = make([]uint64, (m.NodeCount()+63)/64)
 	n.work = make([]topology.NodeID, 0, m.NodeCount())
 	n.nbr = make([]topology.NodeID, m.NodeCount()*topology.NumDirs)
@@ -225,20 +234,18 @@ func (n *Network) Reset(f *fault.Model, alg Algorithm, rng *rand.Rand) error {
 		r := &n.routers[i]
 		for code := range r.vcs {
 			s := &r.vcs[code]
-			// Wipe everything except the structural port/idx fields. The
-			// staged stamps MUST return to -1: they hold cycle numbers
-			// from the previous run, and the cycle counter restarts at
-			// zero, so a stale stamp would collide with a real one.
+			// Wipe everything except the structural port/idx/node fields.
 			s.owner = nil
 			s.routed = false
 			s.out = Channel{}
 			s.dvc = nil
+			s.up = nil
 			s.first = 0
 			s.count = 0
 			s.acquired = 0
-			s.stagedIn = -1
-			s.stagedOut = -1
 			s.activeIdx = -1
+			s.readyIdx = -1
+			s.pendIdx = -1
 		}
 		for j := range r.srcQ {
 			r.srcQ[j] = nil // drop references so the arena solely owns them
@@ -246,7 +253,14 @@ func (n *Network) Reset(f *fault.Model, alg Algorithm, rng *rand.Rand) error {
 		r.srcQ = r.srcQ[:0]
 		r.inj = injState{}
 		r.active = r.active[:0]
+		r.ready = r.ready[:0]
+		r.pend = r.pend[:0]
 		r.crossings = 0
+	}
+	// Release stamps hold cycle numbers of the previous run, and the
+	// cycle counter restarts at zero.
+	for i := range n.freed {
+		n.freed[i] = 0
 	}
 	// Rebuild the healthy-neighbor table in place for the new pattern.
 	for i := range n.routers {
@@ -427,30 +441,40 @@ func (n *Network) routingPhase() {
 	}
 	// Random service order = random conflict resolution among headers
 	// competing for the same downstream VCs.
-	n.rng.Shuffle(len(n.requests), func(i, j int) {
-		n.requests[i], n.requests[j] = n.requests[j], n.requests[i]
-	})
+	n.shuffleRequests()
 	for _, req := range n.requests {
 		r := &n.routers[req.node]
 		var m *Message
+		var s *vcState
 		if req.port == InjectPort {
 			if r.inj.msg != nil || len(r.srcQ) == 0 {
 				continue
 			}
 			m = r.srcQ[0]
 		} else {
-			s := r.vc(topology.Direction(req.port), int(req.vc), n.Cfg.NumVCs)
+			s = r.vc(topology.Direction(req.port), int(req.vc), n.Cfg.NumVCs)
 			if s.owner == nil || s.routed || s.count == 0 {
 				continue
 			}
 			m = s.owner
 		}
+		// Blocked-header skip: the header failed here at cycle
+		// blockedAt-1 with every candidate's downstream VC owned. Its
+		// candidates are a pure function of its routing fields, which
+		// only a grant changes, and a downstream VC frees only through a
+		// neighbor's releaseVC, so with no release next door since then
+		// allocate would fail again. A failing allocate draws nothing.
+		if m.blockedAt > 0 && !n.freedNear(req.node, m.blockedAt) {
+			continue
+		}
 		n.cands.Reset()
 		n.Alg.Candidates(m, req.node, &n.cands)
 		ch, ok := n.allocate(req.node, &n.cands)
 		if !ok {
+			m.blockedAt = n.cycle + 1
 			continue
 		}
+		m.blockedAt = 0
 		dr, dvc, ok := n.downstream(req.node, ch)
 		if !ok || dvc.owner != nil {
 			panic("core: allocate returned unusable channel")
@@ -461,10 +485,11 @@ func (n *Network) routingPhase() {
 			r.inj = injState{msg: m, out: ch, dvc: dvc}
 			m.lastMove = n.cycle
 		} else {
-			s := r.vc(topology.Direction(req.port), int(req.vc), n.Cfg.NumVCs)
 			s.routed = true
 			s.out = ch
 			s.dvc = dvc
+			dvc.up = s
+			n.refresh(s)
 		}
 		// Decomposition: the wait that just ended was queue wait (inject
 		// grant) or routing wait (intermediate hop); from here until the
@@ -486,27 +511,39 @@ func (n *Network) routingPhase() {
 	}
 }
 
+// freedNear reports whether a healthy neighbor of node — a router
+// downstream() can resolve a candidate into — released an input VC at
+// or after stamp-1 (stamps are 1 + cycle, as in freed and blockedAt).
+func (n *Network) freedNear(node topology.NodeID, stamp int64) bool {
+	row := n.nbr[int(node)*topology.NumDirs : int(node)*topology.NumDirs+topology.NumDirs]
+	for _, nb := range row {
+		if nb != topology.Invalid && n.freed[nb] >= stamp {
+			return true
+		}
+	}
+	return false
+}
+
 // gatherRequests appends router r's routing-phase requests — the
-// source-queue head awaiting injection and every unrouted header VC —
-// to n.requests, resolving destination-reached headers in place. This
-// is the per-router body of the original full scan, factored out so the
-// worklist and DebugFullScan paths share it verbatim.
+// source-queue head awaiting injection, then every unrouted header VC
+// in active-list order — to n.requests, resolving destination-reached
+// headers in place. The worklist and DebugFullScan paths share it.
 func (n *Network) gatherRequests(r *router) {
 	if r.inj.msg == nil && len(r.srcQ) > 0 {
 		n.requests = append(n.requests, request{node: r.id, port: InjectPort})
 	}
-	for _, code := range r.active {
-		s := r.vcAt(code)
-		if s.routed || s.count == 0 {
-			continue // body VC, or claimed with header still in flight
-		}
-		if !s.headIsHeader() {
-			panic("core: unrouted VC with non-header at head")
-		}
+	if len(r.pend) == 0 {
+		return
+	}
+	// Snapshot first: a Local resolve drops its VC from r.pend.
+	n.vcBuf = append(n.vcBuf[:0], r.pend...)
+	byActive(n.vcBuf)
+	for _, s := range n.vcBuf {
 		if s.owner.Dst == r.id {
 			s.routed = true
 			s.out = Channel{Dir: topology.Local}
 			s.dvc = nil
+			n.refresh(s)
 			// Routing wait ends: the header resolved to the ejection
 			// port; remaining stalls are ejection-bandwidth blocked.
 			s.owner.settleWait(n.cycle, acctBlocked)
@@ -535,7 +572,7 @@ func (n *Network) allocate(node topology.NodeID, cands *CandidateSet) (Channel, 
 		}
 		switch n.Cfg.Selection {
 		case SelectRandomChannel:
-			return n.freeCh[n.rng.Intn(len(n.freeCh))], true
+			return n.freeCh[n.intn(len(n.freeCh))], true
 		case SelectRandomDir:
 			n.dirBuf = n.dirBuf[:0]
 			for _, ch := range n.freeCh {
@@ -550,14 +587,14 @@ func (n *Network) allocate(node topology.NodeID, cands *CandidateSet) (Channel, 
 					n.dirBuf = append(n.dirBuf, ch.Dir)
 				}
 			}
-			d := n.dirBuf[n.rng.Intn(len(n.dirBuf))]
+			d := n.dirBuf[n.intn(len(n.dirBuf))]
 			n.sameCh = n.sameCh[:0]
 			for _, ch := range n.freeCh {
 				if ch.Dir == d {
 					n.sameCh = append(n.sameCh, ch)
 				}
 			}
-			return n.sameCh[n.rng.Intn(len(n.sameCh))], true
+			return n.sameCh[n.intn(len(n.sameCh))], true
 		case SelectLowestVC:
 			best := n.freeCh[0]
 			for _, ch := range n.freeCh[1:] {
@@ -596,99 +633,105 @@ func (n *Network) switchPhase() {
 	n.commit()
 }
 
-// switchAllocRouter stages router r's flit moves for this cycle — the
-// per-router body of the original switch-phase scan, shared by the
-// worklist and DebugFullScan paths.
+// switchAllocRouter stages router r's flit moves for this cycle; the
+// worklist and DebugFullScan paths share it.
+//
+// Senders come from the router's ready set, whose predicate (routed,
+// non-empty, ejecting or credited) reads only state that is frozen
+// until commit; sorting each output's bucket by activeIdx yields the
+// active-list order the draw-order contract (DESIGN §4.1) prescribes.
+// Staging needs no per-VC stamps: each downstream VC has one feeder,
+// and a staged VC's input port is already marked used.
 func (n *Network) switchAllocRouter(r *router) {
 	if len(r.active) == 0 && r.inj.msg == nil {
 		return
 	}
-	tel := n.linkBusy != nil // ChannelTelemetry, hoisted out of the loops
-	var portUsed [NumPorts]bool
+	injecting := r.inj.msg != nil && r.inj.msg.flitsInjected < r.inj.msg.Length
+	injReady := injecting && int(r.inj.dvc.count) < n.Cfg.BufDepth
+	senders := len(r.ready)
+	if injReady {
+		senders++
+	}
+	tel := n.linkBusy != nil // ChannelTelemetry
+	if senders <= 1 && !tel {
+		// Output order cannot matter to at most one sender, so only its
+		// 4 draws are taken. A lone sender wins whichever output comes
+		// first; its pick still draws, like any one-element sender list.
+		for k := NumPorts; k > 1; k-- {
+			n.intn(k)
+		}
+		if senders == 1 {
+			n.intn(1)
+			if injReady {
+				n.stage(r, nil)
+			} else {
+				n.stage(r, r.ready[0])
+			}
+		}
+		return
+	}
 	// Random output service order for fairness between outputs that
 	// contend for the same input ports.
 	n.outOrder = [NumPorts]topology.Direction{topology.East, topology.West, topology.North, topology.South, topology.Local}
 	for k := NumPorts - 1; k > 0; k-- {
-		j := n.rng.Intn(k + 1)
+		j := n.intn(k + 1)
 		n.outOrder[k], n.outOrder[j] = n.outOrder[j], n.outOrder[k]
 	}
-	// One pre-pass buckets the routed VCs by output direction, in
-	// r.active order. Each output's sender scan then touches only
-	// the VCs that could possibly send there instead of rescanning
-	// the full active list per output × capacity iteration. The
-	// rewrite is bit-identical to the full rescans: output direction,
-	// routed, and count are all frozen for the duration of the switch
-	// phase (flits move at commit), buckets preserve r.active order,
-	// and the per-iteration conditions (portUsed, stagedOut, credit)
-	// are still evaluated in the scan — so every sender list is
-	// element-for-element the one the rescan would build, and an
-	// output with an empty bucket and no injector is skipped without
-	// consuming the RNG, exactly like an empty-scan break.
+	// Telemetry's "busy" is demand, credited or not: any non-empty
+	// routed VC or a pending injection aimed at the output.
+	var demand [NumPorts]bool
+	if tel {
+		for _, code := range r.active {
+			if s := r.vcAt(code); s.routed && s.count > 0 {
+				demand[s.out.Dir] = true
+			}
+		}
+		if injecting {
+			demand[r.inj.out.Dir] = true
+		}
+	}
 	for d := range n.sendq {
 		n.sendq[d] = n.sendq[d][:0]
 	}
-	for _, code := range r.active {
-		s := r.vcAt(code)
-		if s.routed && s.count > 0 {
-			n.sendq[s.out.Dir] = append(n.sendq[s.out.Dir], s)
-		}
+	for _, s := range r.ready {
+		n.sendq[s.out.Dir] = append(n.sendq[s.out.Dir], s)
 	}
-	injDir := topology.Direction(NumPorts) // sentinel: no pending injector
-	if m := r.inj.msg; m != nil && m.flitsInjected < m.Length {
-		injDir = r.inj.out.Dir
-	}
+	var portUsed [NumPorts]bool
 	for _, out := range n.outOrder {
 		bucket := n.sendq[out]
-		if len(bucket) == 0 && injDir != out {
-			continue
-		}
+		injHere := injReady && r.inj.out.Dir == out
+		// Only the order within one output's bucket reaches a draw.
+		byActive(bucket)
 		capacity := 1
 		if out == topology.Local {
 			capacity = n.Cfg.EjectBW
 		}
 		forwarded := false
-		for capacity > 0 {
+		for ; capacity > 0; capacity-- {
 			n.sendVCs = n.sendVCs[:0]
 			for _, s := range bucket {
-				if portUsed[s.port] || s.stagedOut == n.cycle {
-					continue
+				if !portUsed[s.port] {
+					n.sendVCs = append(n.sendVCs, s)
 				}
-				if out != topology.Local && !n.hasCredit(s.dvc) {
-					continue
-				}
-				n.sendVCs = append(n.sendVCs, s)
 			}
-			if out != topology.Local && injDir == out && !portUsed[InjectPort] {
-				if n.hasCredit(r.inj.dvc) {
-					n.sendVCs = append(n.sendVCs, nil) // nil = injection slot
-				}
+			if injHere && !portUsed[InjectPort] {
+				n.sendVCs = append(n.sendVCs, nil) // nil = injection slot
 			}
 			if len(n.sendVCs) == 0 {
 				break
 			}
-			w := n.sendVCs[n.rng.Intn(len(n.sendVCs))]
-			switch {
-			case w == nil:
+			w := n.sendVCs[n.intn(len(n.sendVCs))]
+			if w == nil {
 				portUsed[InjectPort] = true
-				r.inj.dvc.stagedIn = n.cycle
-				n.moves = append(n.moves, move{kind: moveInject, node: r.id})
-				forwarded = true
-			case out == topology.Local:
+			} else {
 				portUsed[w.port] = true
-				w.stagedOut = n.cycle
-				n.moves = append(n.moves, move{kind: moveEject, node: r.id, port: w.port, vc: w.idx})
-			default:
-				portUsed[w.port] = true
-				w.stagedOut = n.cycle
-				w.dvc.stagedIn = n.cycle
-				n.moves = append(n.moves, move{kind: moveLink, node: r.id, port: w.port, vc: w.idx})
-				forwarded = true
 			}
-			capacity--
+			n.stage(r, w)
+			forwarded = out != topology.Local
 		}
 		// Link occupancy: the output had demand this cycle (busy); if
 		// nothing was staged, every sender was credit- or port-blocked.
-		if tel && out != topology.Local {
+		if tel && out != topology.Local && demand[out] {
 			li := LinkID(r.id, out)
 			n.linkBusy[li]++
 			if !forwarded {
@@ -698,17 +741,38 @@ func (n *Network) switchAllocRouter(r *router) {
 	}
 }
 
-// hasCredit reports whether a downstream VC can accept one more flit
-// this cycle (start-of-cycle occupancy plus any staged arrival).
-func (n *Network) hasCredit(dvc *vcState) bool {
-	occ := int(dvc.count)
-	if dvc.stagedIn == n.cycle {
-		occ++
+// stage queues sender w's flit move for commit; nil is r's injection
+// slot, a VC without a downstream VC ejects.
+func (n *Network) stage(r *router, w *vcState) {
+	switch {
+	case w == nil:
+		n.moves = append(n.moves, move{kind: moveInject, node: r.id})
+	case w.dvc == nil:
+		n.moves = append(n.moves, move{kind: moveEject, node: r.id, port: w.port, vc: w.idx})
+	default:
+		n.moves = append(n.moves, move{kind: moveLink, node: r.id, port: w.port, vc: w.idx})
 	}
-	return occ < n.Cfg.BufDepth
 }
 
-// commit applies the staged moves simultaneously.
+// refresh re-derives s's membership in its router's ready and pend
+// sets. Every change to an input of either predicate — s.routed,
+// s.count, or s.dvc.count, which reaches s through s.dvc.up — is
+// followed by a refresh of the VCs it feeds into.
+func (n *Network) refresh(s *vcState) {
+	ready := s.routed && s.count > 0 && (s.dvc == nil || int(s.dvc.count) < n.Cfg.BufDepth)
+	pend := !s.routed && s.count > 0
+	if ready == (s.readyIdx >= 0) && pend == (s.pendIdx >= 0) {
+		return
+	}
+	r := &n.routers[s.node]
+	r.setReady(s, ready)
+	r.setPend(s, pend)
+}
+
+// commit applies the staged moves simultaneously, refreshing the work
+// sets of every VC whose predicate a move can flip: a count leaving or
+// reaching zero flips its own VC, a count dropping from BufDepth flips
+// its feeder's credit.
 func (n *Network) commit() {
 	measuring := n.cycle >= n.statsStart
 	tel := n.linkFlits != nil // ChannelTelemetry, hoisted out of the loop
@@ -726,7 +790,7 @@ func (n *Network) commit() {
 			}
 			idx := m.flitsInjected
 			m.flitsInjected++
-			r.inj.dvc.pushBack(int32(idx))
+			n.arrive(r.inj.dvc, int32(idx))
 			if idx == 0 {
 				m.InjectTime = n.cycle
 				// The header now sits in a neighbor's input VC awaiting
@@ -760,10 +824,12 @@ func (n *Network) commit() {
 			if tel {
 				n.linkFlits[LinkID(mv.node, s.out.Dir)]++
 			}
-			f := s.popFront()
-			s.dvc.pushBack(f.Index)
+			f := n.depart(s)
+			n.arrive(s.dvc, f.Index)
 			if f.Tail() {
 				n.releaseVC(r, s)
+			} else {
+				n.refresh(s)
 			}
 			if f.Msg.acctMoved != n.cycle {
 				f.Msg.acctMoved = n.cycle
@@ -784,7 +850,7 @@ func (n *Network) commit() {
 			}
 		case moveEject:
 			s := r.vc(topology.Direction(mv.port), int(mv.vc), n.Cfg.NumVCs)
-			f := s.popFront()
+			f := n.depart(s)
 			m := f.Msg
 			if m.acctMoved != n.cycle {
 				m.acctMoved = n.cycle
@@ -796,7 +862,9 @@ func (n *Network) commit() {
 				m.acctState = acctBlocked
 			}
 			tail := f.Tail()
-			if tail {
+			if !tail {
+				n.refresh(s)
+			} else {
 				n.releaseVC(r, s)
 				m.DeliverTime = n.cycle
 				m.closeRing(n.cycle)
@@ -836,6 +904,62 @@ func (n *Network) releaseVC(r *router, s *vcState) {
 		n.stats.VCBusy[s.idx] += n.cycle - start + 1
 		n.stats.VCAcquired[s.idx]++
 	}
-	r.release(s, n.Cfg.NumVCs)
+	r.release(s)
+	n.freed[r.id] = n.cycle + 1
 	n.checkIdle(r)
+}
+
+// arrive pushes flit idx into d. Only a first flit can flip d's own
+// membership; d's feeder is refreshed by the caller's departure.
+func (n *Network) arrive(d *vcState, idx int32) {
+	d.pushBack(idx)
+	if d.count == 1 {
+		n.refresh(d)
+	}
+}
+
+// depart pops s's head flit. A drop from BufDepth returns a credit to
+// s's feeder; s itself is refreshed (or released) by the caller.
+func (n *Network) depart(s *vcState) Flit {
+	f := s.popFront()
+	if s.up != nil && int(s.count) == n.Cfg.BufDepth-1 {
+		n.refresh(s.up)
+	}
+	return f
+}
+
+// intn is rand.(*Rand).Intn(k) for 0 < k < 2³¹ — the same Int31n
+// rejection loop over the same Int63 stream — with each draw one call
+// into the source.
+func (n *Network) intn(k int) int {
+	k32 := int32(k)
+	if k32&(k32-1) == 0 {
+		return int(int32(n.rng.Int63()>>32) & (k32 - 1))
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(k32))
+	v := int32(n.rng.Int63() >> 32)
+	for v > max {
+		v = int32(n.rng.Int63() >> 32)
+	}
+	return int(v % k32)
+}
+
+// shuffleRequests is rand.(*Rand).Shuffle over n.requests: the same
+// Fisher–Yates walk with math/rand's unexported int31n, reproduced
+// here, so the permutation and the draws are Shuffle's.
+func (n *Network) shuffleRequests() {
+	q := n.requests
+	for i := len(q) - 1; i > 0; i-- {
+		k := uint32(i + 1)
+		prod := uint64(uint32(n.rng.Int63()>>31)) * uint64(k)
+		if low := uint32(prod); low < k {
+			thresh := -k % k
+			for low < thresh {
+				prod = uint64(uint32(n.rng.Int63()>>31)) * uint64(k)
+				low = uint32(prod)
+			}
+		}
+		j := int(prod >> 32)
+		q[i], q[j] = q[j], q[i]
+	}
 }

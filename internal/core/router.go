@@ -17,6 +17,8 @@ type vcState struct {
 	owner  *Message
 	routed bool    // header has been assigned an output channel
 	out    Channel // valid when routed
+	port   int8    // which input port this VC belongs to
+	idx    uint8   // VC index within the port
 
 	// dvc caches the downstream input VC that out feeds, resolved once
 	// when the output channel is assigned. The healthy-neighbor table is
@@ -25,6 +27,11 @@ type vcState struct {
 	// reads it instead of recomputing downstream() every cycle. nil when
 	// out is the Local (ejection) port, which has no downstream VC.
 	dvc *vcState
+	// up is the inverse of dvc: the upstream VC whose dvc is this one,
+	// nil when the feeder is an injection slot or has been released. A
+	// VC has exactly one feeder, so a pop here returns a credit to up
+	// and nowhere else.
+	up *vcState
 
 	// Flit window: the buffer holds flits [first, first+count) of the
 	// owning message. count is at most Config.BufDepth; first is only
@@ -32,13 +39,12 @@ type vcState struct {
 	first int32
 	count int32
 
-	acquired  int64 // cycle ownership began (utilization accounting)
-	stagedIn  int64 // cycle a flit was staged to arrive (-1 never)
-	stagedOut int64 // cycle a flit was staged to leave (-1 never)
+	acquired int64 // cycle ownership began (utilization accounting)
 
-	activeIdx int32 // position in the router's active list, -1 if free
-	port      int8  // which input port this VC belongs to
-	idx       uint8 // VC index within the port
+	activeIdx int32           // position in the router's active list, -1 if free
+	readyIdx  int32           // position in router.ready, -1 if not a ready sender
+	pendIdx   int32           // position in router.pend, -1 if no header awaits routing
+	node      topology.NodeID // the router this VC belongs to
 }
 
 // pushBack appends the flit with message index idx to the window. The
@@ -111,6 +117,17 @@ type router struct {
 	// activeIdx back-references make removal O(1).
 	active []localChannel
 
+	// ready and pend are the incremental switch- and routing-phase
+	// work sets, both subsets of active kept in step at every mutation
+	// point (Network.refresh), unordered with swap-remove and back
+	// indices (readyIdx, pendIdx). ready holds the routed, non-empty VCs
+	// that can send this cycle: ejecting, or with a free slot in their
+	// downstream VC. pend holds the unrouted VCs whose header awaits an
+	// output. Their capacity follows active's, so appends never allocate
+	// beyond what the active list already did.
+	ready []*vcState
+	pend  []*vcState
+
 	// crossings counts flits that traversed this router's crossbar
 	// inside the measurement window (the traffic-load metric).
 	crossings int64
@@ -137,11 +154,16 @@ func (r *router) claim(port topology.Direction, vcIdx int, m *Message, cycle int
 	s.count = 0
 	s.activeIdx = int32(len(r.active))
 	r.active = append(r.active, int32(port)*int32(numVCs)+int32(vcIdx))
+	if cap(r.ready) < cap(r.active) {
+		r.ready = append(make([]*vcState, 0, cap(r.active)), r.ready...)
+		r.pend = append(make([]*vcState, 0, cap(r.active)), r.pend...)
+	}
 	return s
 }
 
-// release frees an owned VC and drops it from the active list.
-func (r *router) release(s *vcState, numVCs int) {
+// release frees an owned VC and drops it from the active list and the
+// work sets, unlinking it from its downstream VC's feeder pointer.
+func (r *router) release(s *vcState) {
 	idx := s.activeIdx
 	last := int32(len(r.active) - 1)
 	if idx != last {
@@ -150,10 +172,66 @@ func (r *router) release(s *vcState, numVCs int) {
 		r.vcAt(moved).activeIdx = idx
 	}
 	r.active = r.active[:last]
+	r.setReady(s, false)
+	r.setPend(s, false)
+	if s.dvc != nil && s.dvc.up == s {
+		s.dvc.up = nil
+	}
 	s.owner = nil
 	s.routed = false
 	s.dvc = nil
+	s.up = nil
 	s.activeIdx = -1
 	s.first = 0
 	s.count = 0
+}
+
+// setReady inserts s into, or swap-removes it from, the ready set.
+func (r *router) setReady(s *vcState, want bool) {
+	if want == (s.readyIdx >= 0) {
+		return
+	}
+	if want {
+		s.readyIdx = int32(len(r.ready))
+		r.ready = append(r.ready, s)
+		return
+	}
+	last := len(r.ready) - 1
+	moved := r.ready[last]
+	r.ready[s.readyIdx] = moved
+	moved.readyIdx = s.readyIdx
+	r.ready = r.ready[:last]
+	s.readyIdx = -1
+}
+
+// setPend is setReady for the pending-header set.
+func (r *router) setPend(s *vcState, want bool) {
+	if want == (s.pendIdx >= 0) {
+		return
+	}
+	if want {
+		s.pendIdx = int32(len(r.pend))
+		r.pend = append(r.pend, s)
+		return
+	}
+	last := len(r.pend) - 1
+	moved := r.pend[last]
+	r.pend[s.pendIdx] = moved
+	moved.pendIdx = s.pendIdx
+	r.pend = r.pend[:last]
+	s.pendIdx = -1
+}
+
+// byActive sorts a small work-set snapshot into active-list order, the
+// order the draw-order contract enumerates VCs in. Insertion sort: the
+// sets hold a handful of VCs.
+func byActive(vs []*vcState) {
+	for i := 1; i < len(vs); i++ {
+		v := vs[i]
+		j := i
+		for ; j > 0 && vs[j-1].activeIdx > v.activeIdx; j-- {
+			vs[j] = vs[j-1]
+		}
+		vs[j] = v
+	}
 }

@@ -179,6 +179,14 @@ type Algorithm interface {
 	// transiently full channels — algorithms must never return an
 	// empty set out of routing restrictions alone unless node is the
 	// destination, which the engine handles before calling).
+	//
+	// Candidates is pure: the ordered result depends only on m's
+	// routing fields (those InitMessage and Advance maintain), node and
+	// the fault model bound at construction — never on network
+	// occupancy or on earlier calls — and it never writes *m. The
+	// engine relies on this to skip re-evaluating a header whose
+	// previous allocation failed while no neighbor has freed a VC
+	// since (DESIGN §4.3).
 	Candidates(m *Message, node topology.NodeID, out *CandidateSet)
 	// Advance updates m's routing state after its header actually moved
 	// from node `from` through channel ch. The engine calls it exactly

@@ -21,6 +21,13 @@ import (
 //     (or Local at the owner's destination);
 //   - the active list matches exactly the owned VCs, with consistent
 //     back-references;
+//   - the ready set holds exactly the routed, non-empty VCs that are
+//     ejecting or have a free downstream slot, and the pend set exactly
+//     the unrouted, non-empty ones, each with consistent back-indices;
+//   - feeder pointers invert the downstream ones: a routed VC is its
+//     downstream VC's up, an up's dvc is the VC, and an injection's
+//     first-hop VC has no VC feeder;
+//   - no release or blocked-header stamp lies in the future;
 //   - the network-wide active message set is consistent (dense indices,
 //     no duplicates);
 //   - faulty routers hold no traffic;
@@ -59,6 +66,13 @@ func (n *Network) Validate() error {
 		if faulty && (len(r.active) > 0 || len(r.srcQ) > 0 || r.inj.msg != nil) {
 			return fmt.Errorf("faulty node %d holds traffic", id)
 		}
+		if r.inj.msg != nil && (r.inj.dvc.owner != r.inj.msg || r.inj.dvc.up != nil) {
+			return fmt.Errorf("node %d: injection's first-hop VC not owned by it, or fed by a VC", id)
+		}
+		if n.freed[i] > n.cycle {
+			return fmt.Errorf("node %d: release stamp %d after cycle %d", id, n.freed[i]-1, n.cycle)
+		}
+		ready, pend := 0, 0
 		for p := 0; p < topology.NumDirs; p++ {
 			for v := 0; v < n.Cfg.NumVCs; v++ {
 				s := r.vc(topology.Direction(p), v, n.Cfg.NumVCs)
@@ -67,6 +81,30 @@ func (n *Network) Validate() error {
 				if (s.owner != nil) != inActive {
 					return fmt.Errorf("node %d port %d vc %d: owner=%v but active=%v",
 						id, p, v, s.owner != nil, inActive)
+				}
+				if s.node != id {
+					return fmt.Errorf("node %d port %d vc %d: belongs to node %d", id, p, v, s.node)
+				}
+				wantReady := s.owner != nil && s.routed && s.count > 0 &&
+					(s.dvc == nil || int(s.dvc.count) < n.Cfg.BufDepth)
+				wantPend := s.owner != nil && !s.routed && s.count > 0
+				if err := setEntry(r.ready, s.readyIdx, s, wantReady); err != nil {
+					return fmt.Errorf("node %d port %d vc %d: ready set: %v", id, p, v, err)
+				}
+				if err := setEntry(r.pend, s.pendIdx, s, wantPend); err != nil {
+					return fmt.Errorf("node %d port %d vc %d: pend set: %v", id, p, v, err)
+				}
+				if wantReady {
+					ready++
+				}
+				if wantPend {
+					pend++
+				}
+				if s.up != nil && (s.up.dvc != s || s.owner == nil || s.up.owner != s.owner) {
+					return fmt.Errorf("node %d port %d vc %d: feeder does not feed it", id, p, v)
+				}
+				if s.routed && s.dvc != nil && s.dvc.up != s {
+					return fmt.Errorf("node %d port %d vc %d: downstream VC's feeder is not this VC", id, p, v)
 				}
 				if int(s.count) > n.Cfg.BufDepth {
 					return fmt.Errorf("node %d port %d vc %d: %d flits exceed depth %d",
@@ -109,6 +147,10 @@ func (n *Network) Validate() error {
 				}
 			}
 		}
+		if ready != len(r.ready) || pend != len(r.pend) {
+			return fmt.Errorf("node %d: ready/pend sets hold %d/%d VCs, want %d/%d",
+				id, len(r.ready), len(r.pend), ready, pend)
+		}
 	}
 	if busyBits != n.busyCount {
 		return fmt.Errorf("dirty-set population %d, want %d", n.busyCount, busyBits)
@@ -120,6 +162,24 @@ func (n *Network) Validate() error {
 		if m.activeIdx != int32(i) {
 			return fmt.Errorf("active[%d] (msg %d) back-reference %d", i, m.ID, m.activeIdx)
 		}
+		if m.blockedAt > n.cycle {
+			return fmt.Errorf("msg %d: blocked stamp %d after cycle %d", m.ID, m.blockedAt-1, n.cycle)
+		}
+	}
+	return nil
+}
+
+// setEntry checks one VC's membership in a work set: present at its
+// back-index when want, back-index -1 otherwise.
+func setEntry(set []*vcState, idx int32, s *vcState, want bool) error {
+	if !want {
+		if idx != -1 {
+			return fmt.Errorf("member at %d, want absent", idx)
+		}
+		return nil
+	}
+	if idx < 0 || int(idx) >= len(set) || set[idx] != s {
+		return fmt.Errorf("absent (back-index %d of %d), want member", idx, len(set))
 	}
 	return nil
 }
