@@ -439,7 +439,7 @@ func writeChromeTrace(path string, p wormmesh.Params, res wormmesh.Result, rec *
 	root.Set("algorithm", p.Algorithm)
 	root.Set("rate", p.Rate)
 	root.Set("cycles", p.WarmupCycles+p.MeasureCycles)
-	root.AttachEngine(rec.Events())
+	root.AttachEngine(rec.Snapshot())
 	// The window series becomes Perfetto counter tracks above the
 	// per-message slices, on the same cycle timeline.
 	root.AttachWindows(serve.WindowPoints(p.Sampler))

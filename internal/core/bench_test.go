@@ -154,7 +154,7 @@ func BenchmarkStepLoaded(b *testing.B) {
 				}
 				if variant.spans && i%4096 == 4095 {
 					span := tracer.Start("engine.window", trace.Context{})
-					span.AttachEngine(rec.Events())
+					span.AttachEngine(rec.Snapshot())
 					span.End()
 				}
 			}

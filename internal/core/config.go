@@ -2,19 +2,6 @@ package core
 
 import "fmt"
 
-// KillPolicy selects what the deadlock watchdog does with its victim.
-type KillPolicy uint8
-
-// Kill policies.
-const (
-	// KillDrop tears the victim down and counts it; its flits are lost.
-	KillDrop KillPolicy = iota
-	// KillReinject tears the victim down and re-enqueues a fresh copy
-	// at its source, preserving the original generation time so the
-	// recovery stall shows up as latency.
-	KillReinject
-)
-
 // Config holds the router micro-architecture parameters the paper does
 // not vary (but also does not always state); defaults follow the
 // values common in the fault-tolerant wormhole literature.
@@ -47,8 +34,6 @@ type Config struct {
 	// hops (possible only through misrouting or pathological f-ring
 	// circling) is torn down and counted. Zero disables the guard.
 	MaxHops int32
-	// Kill selects the recovery action.
-	Kill KillPolicy
 	// Selection picks among free candidate channels.
 	Selection SelectionPolicy
 	// MaxSourceQueue bounds the per-node source queue; when full, newly
@@ -76,7 +61,6 @@ func DefaultConfig() Config {
 		MessageStallCycles: 5000,
 		StallScanInterval:  1024,
 		MaxHops:            0, // set per-mesh by the sim layer
-		Kill:               KillDrop,
 		Selection:          SelectRandomChannel,
 	}
 }

@@ -324,27 +324,6 @@ func TestGlobalWatchdogRecovers(t *testing.T) {
 	}
 }
 
-func TestKillReinjectPreservesGenTime(t *testing.T) {
-	mesh := topology.New(4, 4)
-	cfg := testConfig()
-	cfg.MessageStallCycles = 100
-	cfg.Kill = KillReinject
-	n := newTestNetwork(t, mesh, nil, stuckAlg{xyAlg{mesh: mesh, vcs: 4}}, cfg, 1)
-	m := offer(t, n, 1, topology.Coord{X: 0, Y: 0}, topology.Coord{X: 3, Y: 0}, 10)
-	for i := 0; i < 2000 && !m.Killed; i++ {
-		n.Step()
-	}
-	if !m.Killed {
-		t.Fatal("message not killed")
-	}
-	if n.InFlight() != 1 {
-		t.Fatalf("InFlight = %d, want 1 (the re-injected clone)", n.InFlight())
-	}
-	if n.QueueLen(m.Src) != 1 {
-		t.Fatalf("clone not queued at source")
-	}
-}
-
 func TestMaxHopsLivelockGuard(t *testing.T) {
 	mesh := topology.New(4, 4)
 	cfg := testConfig()

@@ -14,8 +14,8 @@ import (
 // and zero RNG interaction, that always holds the LAST capacity events
 // of the run. Every event consumer reads it:
 //   - a deadlock post-mortem attaches the ring's tail (postmortem.go);
-//   - meshsim -chrometrace and meshserve's job spans decode it into
-//     trace.EngineEvent;
+//   - meshsim -chrometrace and meshserve's job spans keep a Snapshot
+//     of it and decode that into trace.EngineEvent on read;
 //   - an attached JSONL stream (Stream; meshsim -trace) receives the
 //     whole run: the ring encodes each event as it evicts it, and Flush
 //     encodes the events still held at run end.
@@ -220,10 +220,32 @@ func (f *FlightRecorder) at(i int) frEvent {
 
 // Events decodes the held events, oldest first. It allocates; use it on
 // the dump path, not per cycle.
-func (f *FlightRecorder) Events() []trace.EngineEvent {
-	out := make([]trace.EngineEvent, f.Len())
+func (f *FlightRecorder) Events() []trace.EngineEvent { return f.Snapshot().Events() }
+
+// FlightLog is a copy of the events a FlightRecorder held, oldest
+// first, in the ring's compact pointer-free form and sized to exactly
+// those events. It satisfies trace.EngineLog, so a span can keep a
+// run's engine history without pinning the recorder's whole ring or a
+// decoded copy, and the recorder stays free to record again.
+type FlightLog []frEvent
+
+// Snapshot copies the held events into a FlightLog.
+func (f *FlightRecorder) Snapshot() FlightLog {
+	out := make(FlightLog, f.Len())
 	for i := range out {
-		out[i] = f.at(i).decode()
+		out[i] = f.at(i)
+	}
+	return out
+}
+
+// Len returns the number of events in the log.
+func (l FlightLog) Len() int { return len(l) }
+
+// Events decodes the log, oldest first.
+func (l FlightLog) Events() []trace.EngineEvent {
+	out := make([]trace.EngineEvent, len(l))
+	for i, e := range l {
+		out[i] = e.decode()
 	}
 	return out
 }
@@ -243,16 +265,6 @@ func (f *FlightRecorder) Last(n int) []trace.EngineEvent {
 		out[i] = f.at(start + i).decode()
 	}
 	return out
-}
-
-// WriteTrace dumps the held events, flits included, as JSON lines in
-// the format of the -trace stream, so the same tools read both.
-func (f *FlightRecorder) WriteTrace(w io.Writer) error {
-	s := newEventStream(w, true)
-	for i := 0; i < f.Len(); i++ {
-		s.emit(f.at(i))
-	}
-	return s.flush()
 }
 
 // eventStream JSON-encodes ring events as lines through a buffer. It

@@ -126,7 +126,7 @@ func readTrace(t *testing.T, rd io.Reader) []trace.EngineEvent {
 }
 
 // TestFlightRecorderMatchesRecorder locks in the event-format contract
-// against the oracle: the ring's decoded tail (Events, WriteTrace) is
+// against the oracle: the ring's decoded tail (Events) is
 // the oracle's tail, and the JSONL stream is byte for byte the oracle's
 // whole run — whether the run fits in the ring or wraps it several
 // times, with flits streamed or filtered out.
@@ -164,13 +164,6 @@ func TestFlightRecorderMatchesRecorder(t *testing.T) {
 			if got := fr.Events(); !reflect.DeepEqual(got, tail) {
 				t.Errorf("Events diverge from the oracle's tail:\n got %d events %+v\nwant %d events %+v",
 					len(got), got, len(tail), tail)
-			}
-			var dump bytes.Buffer
-			if err := fr.WriteTrace(&dump); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(dump.Bytes(), encodeLines(t, tail)) {
-				t.Error("WriteTrace dump differs from the oracle's tail")
 			}
 			streamWant := want
 			if !c.flits {
@@ -234,6 +227,38 @@ func TestFlightRecorderRingWrap(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderSnapshot checks the copy a span keeps: exactly the
+// held events, oldest first, however large the ring (a short run in a
+// default-sized ring must not pin the whole ring), and unchanged when
+// the recorder is reset and records again.
+func TestFlightRecorderSnapshot(t *testing.T) {
+	full := oracleRun(t)
+	for _, capEvents := range []int{8, 4 * len(full)} {
+		mesh := topology.New(4, 4)
+		n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
+		fr := NewFlightRecorder(capEvents)
+		n.SetTracer(fr)
+		driveTraffic(t, n)
+
+		snap := fr.Snapshot()
+		want := full[max(len(full)-capEvents, 0):]
+		if snap.Len() != len(want) || cap(snap) != len(want) {
+			t.Fatalf("cap %d: snapshot Len/cap = %d/%d, want %d/%d", capEvents, snap.Len(), cap(snap), len(want), len(want))
+		}
+		if got := snap.Events(); !reflect.DeepEqual(got, want) {
+			t.Errorf("cap %d: snapshot decodes to %d events, want the %d held", capEvents, len(got), len(want))
+		}
+
+		fr.Reset()
+		for range capEvents {
+			fr.MessageInjected(&Message{ID: 999}, 12345)
+		}
+		if got := snap.Events(); !reflect.DeepEqual(got, want) {
+			t.Errorf("cap %d: snapshot changed when its recorder recorded again", capEvents)
+		}
+	}
+}
+
 // TestFlightRecorderExcludesFlits checks the volume knob: a stream
 // without flits drops the per-flit link traversals while the
 // header-level events stay — and the ring itself still records the
@@ -259,26 +284,35 @@ func TestFlightRecorderExcludesFlits(t *testing.T) {
 	if kinds["inject"] != 2 || kinds["deliver"] != 2 {
 		t.Errorf("kinds = %v, want 2 injects and 2 delivers", kinds)
 	}
-	if SummarizeTrace(fr.Events()).FlitMoves == 0 {
+	held := map[string]int{}
+	for _, e := range fr.Events() {
+		held[e.Kind]++
+	}
+	if held["flit"] == 0 {
 		t.Error("ring dropped the flit events the stream filtered")
 	}
 }
 
-// TestFlightRecorderSummarizes feeds a flight dump through the trace
-// summary pipeline — the recorder's whole point is that offline tools
-// need no second code path.
+// TestFlightRecorderSummarizes counts a flight dump's events by kind:
+// the decoded dump tells each message's story (injected, delivered,
+// never killed) with its flit moves.
 func TestFlightRecorderSummarizes(t *testing.T) {
 	mesh := topology.New(4, 4)
 	n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
 	fr := NewFlightRecorder(4096)
 	n.SetTracer(fr)
 	driveTraffic(t, n)
-	s := SummarizeTrace(fr.Events())
-	if s.Messages != 2 || s.Delivered != 2 || s.Killed != 0 {
-		t.Errorf("summary = %+v, want 2 messages delivered", s)
+	kinds := map[string]int{}
+	msgs := map[int64]bool{}
+	for _, e := range fr.Events() {
+		kinds[e.Kind]++
+		msgs[e.Msg] = true
 	}
-	if s.FlitMoves == 0 {
-		t.Error("summary counted no flit moves")
+	if len(msgs) != 2 || kinds["inject"] != 2 || kinds["deliver"] != 2 || kinds["kill"] != 0 {
+		t.Errorf("%d messages, kinds = %v, want 2 messages injected and delivered", len(msgs), kinds)
+	}
+	if kinds["flit"] == 0 {
+		t.Error("dump holds no flit moves")
 	}
 }
 

@@ -332,19 +332,24 @@ func TestWatchdogPostmortemHook(t *testing.T) {
 
 // TestDiagnoseIsReadOnly locks in that diagnosis never perturbs the
 // simulation: running the deadlock scenario with a Diagnose every
-// cycle yields the same statistics as running it untouched.
+// third cycle yields the same statistics as running it untouched. The
+// loop's four messages are offered again whenever the network drains,
+// so the wait cycle forms, is broken by the watchdog and re-forms.
 func TestDiagnoseIsReadOnly(t *testing.T) {
 	run := func(diagnose bool) Stats {
 		mesh := topology.New(2, 2)
 		loop := []topology.Coord{{X: 0, Y: 0}, {X: 1, Y: 0}, {X: 1, Y: 1}, {X: 0, Y: 1}}
 		cfg := deadlockConfig()
 		cfg.DeadlockCycles = 60
-		cfg.Kill = KillReinject
 		n := newTestNetwork(t, mesh, nil, newRingAlg(mesh, loop, 1), cfg, 1)
-		for i := 0; i < 4; i++ {
-			offer(t, n, int64(i+1), loop[i], loop[(i+2)%4], 4)
-		}
+		id := int64(0)
 		for i := 0; i < 500; i++ {
+			if n.InFlight() == 0 {
+				for k := 0; k < 4; k++ {
+					id++
+					offer(t, n, id, loop[k], loop[(k+2)%4], 4)
+				}
+			}
 			n.Step()
 			if diagnose && i%3 == 0 {
 				_ = n.Diagnose()
@@ -353,6 +358,9 @@ func TestDiagnoseIsReadOnly(t *testing.T) {
 		return n.Snapshot()
 	}
 	a, b := run(false), run(true)
+	if a.DeadlockEvents < 2 {
+		t.Fatalf("%d deadlock recoveries, want the wait cycle to recur", a.DeadlockEvents)
+	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("Diagnose perturbed the run:\n  without: %+v\n  with:    %+v", a, b)
 	}

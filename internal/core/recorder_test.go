@@ -107,45 +107,3 @@ func TestRecorderSurfacesWriteErrors(t *testing.T) {
 		t.Error("write error not surfaced")
 	}
 }
-
-func TestSummarizeTrace(t *testing.T) {
-	mesh := topology.New(5, 5)
-	n := newTestNetwork(t, mesh, nil, xyAlg{mesh: mesh, vcs: 4}, testConfig(), 1)
-	var buf bytes.Buffer
-	rec := streamRecorder(n, &buf, true)
-	a := offer(t, n, 1, topology.Coord{X: 0, Y: 0}, topology.Coord{X: 4, Y: 0}, 5)
-	b := offer(t, n, 2, topology.Coord{X: 0, Y: 4}, topology.Coord{X: 4, Y: 4}, 5)
-	for !a.Delivered() || !b.Delivered() {
-		n.Step()
-		if n.Cycle() > 500 {
-			t.Fatal("not delivered")
-		}
-	}
-	if err := rec.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	s := SummarizeTrace(readTrace(t, &buf))
-	if s.Messages != 2 || s.Delivered != 2 || s.Killed != 0 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if s.Hops[1] != 4 || s.Hops[2] != 4 {
-		t.Errorf("hops = %v, want 4 each", s.Hops)
-	}
-	// Journey = deliver - inject = (H-1+L) - 0... both uncontended:
-	// tail delivered H+L-1 cycles after generation, header injected at
-	// cycle 0, so the journey equals the total latency.
-	for id, j := range s.Journeys {
-		if j != a.Latency() {
-			t.Errorf("journey[%d] = %d, want %d", id, j, a.Latency())
-		}
-	}
-	if s.FlitMoves != 2*4*5 {
-		t.Errorf("flit moves = %d, want 40 (2 msgs x 4 links x 5 flits)", s.FlitMoves)
-	}
-	if len(s.HotNodes) == 0 || s.HotNodes[0].Routed < 1 {
-		t.Errorf("hot nodes = %v", s.HotNodes)
-	}
-	if s.String() == "" {
-		t.Error("empty summary string")
-	}
-}

@@ -107,16 +107,6 @@ func (s *CandidateSet) Add(tier int, ch Channel) {
 	s.tiers[tier] = append(s.tiers[tier], ch)
 }
 
-// AddMany appends a pre-built channel slice to the given preference
-// tier in slice order. Routing algorithms that intern their channel
-// sets (the BC wrapper's per-class ring channels) use it to turn
-// per-VC Add loops into one bulk append; the resulting candidate
-// ordering is identical to adding the elements one by one, which is
-// part of the determinism contract (DESIGN.md §4.2).
-func (s *CandidateSet) AddMany(tier int, chs []Channel) {
-	s.tiers[tier] = append(s.tiers[tier], chs...)
-}
-
 // AddVCs appends one channel per VC in [lo, hi] for direction d.
 func (s *CandidateSet) AddVCs(tier int, d topology.Direction, lo, hi int) {
 	for vc := lo; vc <= hi; vc++ {

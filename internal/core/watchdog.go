@@ -51,9 +51,8 @@ func (n *Network) watchdog() {
 	}
 	if (n.Cfg.MessageStallCycles > 0 || n.Cfg.MaxHops > 0) && n.cycle-n.lastStallScan >= n.Cfg.StallScanInterval {
 		n.lastStallScan = n.cycle
-		// Collect victims first: kill mutates the active set (and, with
-		// KillReinject, appends to it), so the scan must not run over a
-		// set that is shifting under it.
+		// Collect victims first: kill mutates the active set, so the
+		// scan must not run over a set that is shifting under it.
 		n.victims = n.victims[:0]
 		for _, m := range n.active {
 			// Stall takes precedence over livelock when both hold — the
@@ -100,8 +99,8 @@ func (n *Network) recoveryVictim() *Message {
 
 // kill removes every flit of m from the network, releases the virtual
 // channels it owns (including channels claimed but not yet entered),
-// and either drops or re-injects it per the kill policy. A pooled
-// victim is recycled once every engine structure has let go of it.
+// and drops it. A pooled victim is recycled once every engine
+// structure has let go of it.
 func (n *Network) kill(m *Message, cause KillCause) {
 	for i := range n.routers {
 		r := &n.routers[i]
@@ -140,27 +139,6 @@ func (n *Network) kill(m *Message, cause KillCause) {
 		case KillCauseLivelock:
 			n.stats.KilledLivelock++
 		}
-	}
-	if n.Cfg.Kill == KillReinject {
-		clone := n.AcquireMessage(n.NextMessageID(), m.Src, m.Dst, m.Length)
-		clone.GenTime = m.GenTime
-		n.Alg.InitMessage(clone)
-		clone.lastMove = n.cycle
-		// The clone inherits the victim's decomposition and resumes
-		// accounting from the kill cycle, so its eventual delivery still
-		// satisfies the partition invariant for the preserved GenTime.
-		clone.LatQueue, clone.LatRoute = m.LatQueue, m.LatRoute
-		clone.LatBlocked, clone.LatMoving = m.LatBlocked, m.LatMoving
-		clone.LatRing = m.LatRing
-		clone.acctFrom = n.cycle
-		clone.acctState = acctQueued
-		// Push to the queue front so recovery does not reorder behind
-		// younger traffic (in place: slide the queue right by one).
-		src.srcQ = append(src.srcQ, nil)
-		copy(src.srcQ[1:], src.srcQ)
-		src.srcQ[0] = clone
-		n.markBusy(m.Src) // the re-queued clone re-dirties the source
-		n.addActive(clone)
 	}
 	n.recycle(m)
 }

@@ -37,8 +37,6 @@ import (
 //   - Offer appends to r.srcQ            → markBusy(source router)
 //   - VC allocation (routingPhase)
 //     claims a downstream input VC      → markBusy(downstream router)
-//   - watchdog kill with KillReinject
-//     re-queues the clone               → markBusy(source router)
 //
 // Flit arrivals and credit returns never change membership on their
 // own: a flit can only arrive on a VC that was claimed earlier (the

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"wormmesh/internal/core"
@@ -12,13 +13,12 @@ import (
 // TestStepLoadedFaultedAllocFree extends the engine's zero-alloc
 // steady-state budget (internal/core's alloc tests, which run
 // fault-free) to a FAULTED mesh under ring traffic: with the
-// center-block pattern live, the Boppana–Chalasani wrapper's memoized
-// canProgress/orientation lookups, the interned ring-channel rows
-// (CandidateSet.AddMany instead of per-VC Add loops) and the message
-// arena together must keep a warmed offer+step cycle at zero heap
-// allocations. It lives in this package rather than internal/core
-// because constructing the fortified algorithms imports routing, which
-// imports core.
+// center-block pattern live, the Boppana–Chalasani wrapper's
+// canProgress and orientation scans, its ring-channel Add loops (on
+// reused scratch slices) and the message arena together must keep a
+// warmed offer+step cycle at zero heap allocations. It lives in this
+// package rather than internal/core because constructing the fortified
+// algorithms imports routing, which imports core.
 func TestStepLoadedFaultedAllocFree(t *testing.T) {
 	mesh := topology.New(10, 10)
 	ids, err := fault.NamedPattern("center-block", mesh)
@@ -70,5 +70,35 @@ func TestStepLoadedFaultedAllocFree(t *testing.T) {
 				t.Errorf("%s: %.2f allocs per faulted loaded cycle, want 0", name, allocs)
 			}
 		})
+	}
+}
+
+// TestRoutingNewAllocBudget bounds what fortification costs to build:
+// all eleven algorithms on a 10×10 mesh with 10 random faults must
+// allocate under 64 KiB together. Construction keeps only the fault
+// model's rings and per-class VC lists, so a sweep can build routing
+// per run; a per-(node, destination) table would cost megabytes here.
+func TestRoutingNewAllocBudget(t *testing.T) {
+	mesh := topology.New(10, 10)
+	f, err := fault.Generate(mesh, 10, rand.New(rand.NewSource(1)), fault.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const reps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		for _, name := range AlgorithmNames {
+			if _, err := New(name, f, 24); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const budget = 64 << 10
+	if per := (after.TotalAlloc - before.TotalAlloc) / reps; per >= budget {
+		t.Errorf("building all %d algorithms allocates %d B, budget %d B", len(AlgorithmNames), per, budget)
+	} else {
+		t.Logf("building all %d algorithms allocates %d B", len(AlgorithmNames), per)
 	}
 }

@@ -35,28 +35,9 @@ type bcWrapper struct {
 	// it returns the channels a message may use for its next ring hop
 	// at a node. Boura's fault-tolerant scheme routes around regions
 	// on its regular subnetwork channels instead of a reserved set.
-	// Used by the uncached path; the cached path selects a ringRows
-	// row via ringRowFor instead.
 	ringVCsFor func(m *core.Message, node topology.NodeID) []uint8
 
-	// ringRows interns the ring-channel candidate slices: one row per
-	// channel-set choice (direction class by default, virtual
-	// subnetwork for Boura-FT), one pre-built []core.Channel per
-	// direction within the row, in the exact VC order the Add loops of
-	// the uncached path produce. The cached Candidates bulk-appends
-	// these slices (CandidateSet.AddMany) instead of rebuilding them
-	// channel by channel every header-cycle.
-	ringRows [][topology.NumDirs][]core.Channel
-	// ringRowFor selects the ringRows row for a message at a node; nil
-	// means the message's direction class.
-	ringRowFor func(m *core.Message, node topology.NodeID) int
-
-	// memo holds the static-fault tables (memo.go); nil when built
-	// under DebugNoCache, which routes through the scanning paths.
-	memo *bcMemo
-
-	dirBuf []topology.Direction
-	vcBuf  []uint8
+	vcBuf []uint8
 }
 
 // fortify wraps a base with the BC scheme using ring VC indices
@@ -73,26 +54,7 @@ func fortify(inner base, faults *fault.Model, ringLo, ringHi int) *bcWrapper {
 		cls := (vc - ringLo) % 4
 		w.ringVCs[cls] = append(w.ringVCs[cls], uint8(vc))
 	}
-	w.ringRows = make([][topology.NumDirs][]core.Channel, 4)
-	for cls := 0; cls < 4; cls++ {
-		for d := topology.Direction(0); d < topology.NumDirs; d++ {
-			chs := make([]core.Channel, len(w.ringVCs[cls]))
-			for i, vc := range w.ringVCs[cls] {
-				chs[i] = core.Channel{Dir: d, VC: vc}
-			}
-			w.ringRows[cls][d] = chs
-		}
-	}
-	w.initMemo()
 	return w
-}
-
-// ringRowIdx resolves the ringRows row for a message at a node.
-func (w *bcWrapper) ringRowIdx(m *core.Message, node topology.NodeID) int {
-	if w.ringRowFor != nil {
-		return w.ringRowFor(m, node)
-	}
-	return int(m.DirClass)
 }
 
 // ringChannels resolves the VC set for a ring hop.
@@ -171,17 +133,33 @@ func defaultCW(c core.DirClass) bool { return c == core.WE || c == core.NS }
 // progress towards dst resumes (progress that does not step back along
 // the ring, mirroring the exit rule applied during traversal).
 func (w *bcWrapper) chooseOrientation(ring *fault.Ring, node, dst topology.NodeID, class core.DirClass) bool {
-	cwSteps := int16(w.orientScan(ring, node, dst, true))
-	ccwSteps := int16(w.orientScan(ring, node, dst, false))
-	return orientFromScans(cwSteps, ccwSteps, class)
+	return orientFromScans(w.orientScan(ring, node, dst, true), w.orientScan(ring, node, dst, false), class)
+}
+
+// orientFromScans combines the two orientation scans into the final
+// orientation: the side with the nearer exit wins; a tie, or no exit
+// either way, falls back to the per-class default.
+func orientFromScans(cwSteps, ccwSteps int, class core.DirClass) bool {
+	switch {
+	case cwSteps < 0 && ccwSteps < 0:
+		return defaultCW(class)
+	case cwSteps < 0:
+		return false
+	case ccwSteps < 0:
+		return true
+	case cwSteps < ccwSteps:
+		return true
+	case ccwSteps < cwSteps:
+		return false
+	default:
+		return defaultCW(class)
+	}
 }
 
 // orientScan walks the ring from node in one orientation and returns
 // the number of ring hops to the nearest node from which minimal
 // progress towards dst resumes, or -1 when a chain end or a full loop
-// comes first. It is chooseOrientation's scan body, shared with the
-// memo builder so the cached orientation cannot drift from the
-// scanning one.
+// comes first.
 func (w *bcWrapper) orientScan(ring *fault.Ring, node, dst topology.NodeID, cw bool) int {
 	cur := node
 	for steps := 1; steps <= ring.Len(); steps++ {
@@ -227,88 +205,11 @@ func (w *bcWrapper) dirBetween(a, b topology.NodeID) topology.Direction {
 	panic(fmt.Sprintf("routing: nodes %v and %v are not adjacent", w.mesh.CoordOf(a), w.mesh.CoordOf(b)))
 }
 
+// Candidates emits the base's channels while minimal fault-free
+// progress exists, else the ring channels of the next f-ring hop. The
+// candidate order is part of the determinism contract (DESIGN.md §4.2):
+// the engine's RNG tie-breaking indexes into the list.
 func (w *bcWrapper) Candidates(m *core.Message, node topology.NodeID, out *core.CandidateSet) {
-	if mm := w.memo; mm != nil {
-		w.candidatesMemo(mm, m, node, out)
-		return
-	}
-	w.candidatesScan(m, node, out)
-}
-
-// candidatesMemo is Candidates over the static-fault tables. Every
-// branch mirrors candidatesScan exactly — identical candidate content
-// AND ordering (see memo.go) — with the scans replaced by loads.
-func (w *bcWrapper) candidatesMemo(mm *bcMemo, m *core.Message, node topology.NodeID, out *core.CandidateSet) {
-	e := mm.entry(node, m.Dst)
-	except := topology.Invalid
-	if m.RingIdx >= 0 {
-		except = m.Prev
-	}
-	if e.canProgressMemo(except) {
-		// Normal (or ring-exiting) routing: base candidates minus any
-		// channel pointing into a fault region or straight back along
-		// a ring being exited. When the node's whole neighborhood is
-		// healthy and no exit restriction applies the filter keeps
-		// everything (bases emit only in-mesh directions), so it is
-		// skipped — an identity rewrite.
-		w.inner.candidates(m, node, out, 0)
-		if except != topology.Invalid || !mm.allHealthy[node] {
-			base := int(node) * topology.NumDirs
-			out.Filter(func(ch core.Channel) bool {
-				nb := mm.nbr[base+int(ch.Dir)]
-				return nb != topology.Invalid && nb != except
-			})
-		}
-		if !out.Empty() {
-			return
-		}
-		// Restricted-base fallback: ring VCs on the healthy minimal
-		// directions (X dimension first, matching minimalDirs order).
-		row := &w.ringRows[w.ringRowIdx(m, node)]
-		if e.nbX != topology.Invalid && e.nbX != except {
-			out.AddMany(0, row[e.dX])
-		}
-		if e.nbY != topology.Invalid && e.nbY != except {
-			out.AddMany(0, row[e.dY])
-		}
-		return
-	}
-	// Blocked by a fault: traverse (or begin traversing) the f-ring.
-	ri := m.RingIdx
-	var cw bool
-	if ri >= 0 {
-		if _, onRing := mm.rings[ri].ring.Position(node); onRing {
-			cw = m.RingCW
-		} else {
-			ri = -1 // drifted onto a different obstacle
-		}
-	}
-	if ri < 0 {
-		if e.ring < 0 {
-			return // nowhere to go; watchdog will clean up if persistent
-		}
-		ri = int32(e.ring)
-		cw = orientFromScans(e.cwSteps, e.ccwSteps, m.DirClass)
-	}
-	rm := &mm.rings[ri]
-	p, ok := rm.ring.Position(node)
-	if !ok {
-		return
-	}
-	o := cwIdx(cw)
-	if rm.next[o][p] == topology.Invalid {
-		o ^= 1 // chain end: reverse orientation
-		if rm.next[o][p] == topology.Invalid {
-			return // degenerate single-node chain
-		}
-	}
-	out.AddMany(0, w.ringRows[w.ringRowIdx(m, node)][rm.dir[o][p]])
-}
-
-// candidatesScan is the original scanning implementation, kept as the
-// DebugNoCache path and as the executable specification the memo
-// tables are checked against.
-func (w *bcWrapper) candidatesScan(m *core.Message, node topology.NodeID, out *core.CandidateSet) {
 	// A message traversing a ring may not "exit" backwards to the node
 	// it just left; normal messages have no such restriction.
 	except := topology.Invalid
@@ -318,28 +219,21 @@ func (w *bcWrapper) candidatesScan(m *core.Message, node topology.NodeID, out *c
 	if w.canProgress(node, m.Dst, except) {
 		// Normal (or ring-exiting) routing: base candidates minus any
 		// channel pointing into a fault region (or, when exiting a
-		// ring, straight back along it).
-		w.inner.candidates(m, node, out, 0)
-		out.Filter(func(ch core.Channel) bool {
-			nb := w.mesh.NeighborID(node, ch.Dir)
-			return nb != topology.Invalid && nb != except && !w.faults.IsFaulty(nb)
-		})
-		if !out.Empty() {
-			return
-		}
-		// A restricted base (e.g. a pure e-cube escape) can be left
-		// with nothing even though a healthy minimal direction exists;
-		// fall back to ring VCs on the healthy minimal directions so
-		// the message is never wedged by the filter alone.
-		w.dirBuf = minimalDirs(w.mesh, node, m.Dst, w.dirBuf[:0])
-		for _, d := range w.dirBuf {
+		// ring, straight back along it). Whether a channel survives
+		// depends only on its direction, so the test runs once per
+		// direction, and not at all when every direction passes. Every
+		// base offers all minimal directions, so the healthy one that
+		// canProgress found survives and the list is never empty.
+		var allowed uint8
+		for d := topology.Direction(0); d < topology.NumDirs; d++ {
 			nb := w.mesh.NeighborID(node, d)
-			if nb == topology.Invalid || nb == except || w.faults.IsFaulty(nb) {
-				continue
+			if nb != topology.Invalid && nb != except && !w.faults.IsFaulty(nb) {
+				allowed |= 1 << d
 			}
-			for _, vc := range w.ringChannels(m, node) {
-				out.Add(0, core.Channel{Dir: d, VC: vc})
-			}
+		}
+		w.inner.candidates(m, node, out, 0)
+		if allowed != 1<<topology.NumDirs-1 {
+			out.Filter(func(ch core.Channel) bool { return allowed&(1<<ch.Dir) != 0 })
 		}
 		return
 	}
@@ -370,53 +264,9 @@ func (w *bcWrapper) candidatesScan(m *core.Message, node topology.NodeID, out *c
 	}
 }
 
+// Advance records a ring move's ring and orientation on the message,
+// or clears them when the hop resumed minimal routing.
 func (w *bcWrapper) Advance(m *core.Message, from topology.NodeID, ch core.Channel) {
-	if mm := w.memo; mm != nil {
-		w.advanceMemo(mm, m, from, ch)
-		return
-	}
-	w.advanceScan(m, from, ch)
-}
-
-// advanceMemo is Advance over the static-fault tables, mirroring
-// advanceScan decision for decision.
-func (w *bcWrapper) advanceMemo(mm *bcMemo, m *core.Message, from topology.NodeID, ch core.Channel) {
-	e := mm.entry(from, m.Dst)
-	except := topology.Invalid
-	if m.RingIdx >= 0 {
-		except = m.Prev
-	}
-	if e.canProgressMemo(except) {
-		m.RingIdx = -1
-		w.inner.advance(m, from, ch)
-		return
-	}
-	// Ring move: recover which ring and orientation produced it.
-	target := w.mesh.NeighborID(from, ch.Dir)
-	ri := m.RingIdx
-	if ri >= 0 {
-		if _, onRing := mm.rings[ri].ring.Position(from); !onRing {
-			ri = -1
-		}
-	}
-	if ri < 0 {
-		ri = int32(e.ring)
-	}
-	if ri >= 0 && target != topology.Invalid {
-		rm := &mm.rings[ri]
-		if p, ok := rm.ring.Position(from); ok {
-			if rm.next[1][p] == target {
-				m.RingIdx, m.RingCW = ri, true
-			} else if rm.next[0][p] == target {
-				m.RingIdx, m.RingCW = ri, false
-			}
-		}
-	}
-	w.inner.advance(m, from, ch)
-}
-
-// advanceScan is the original scanning Advance (DebugNoCache path).
-func (w *bcWrapper) advanceScan(m *core.Message, from topology.NodeID, ch core.Channel) {
 	target := w.mesh.NeighborID(from, ch.Dir)
 	except := topology.Invalid
 	if m.RingIdx >= 0 {

@@ -83,33 +83,5 @@ func newBouraFT(faults *fault.Model, posLo, posHi, negLo, negHi, escLo, escHi in
 		}
 		return w.vcBuf
 	}
-	// Cached-path ring rows: one per virtual subnetwork, selected by
-	// the same remaining-Y-offset rule subnetRange applies, so the
-	// interned slices carry exactly the channels ringVCsFor would
-	// rebuild per call.
-	mesh := faults.Topo
-	w.ringRows = make([][topology.NumDirs][]core.Channel, 2)
-	ranges := [2][2]int{{posLo, posHi}, {negLo, negHi}}
-	for row, r := range ranges {
-		for d := topology.Direction(0); d < topology.NumDirs; d++ {
-			chs := make([]core.Channel, 0, r[1]-r[0]+1)
-			for vc := r[0]; vc <= r[1]; vc++ {
-				chs = append(chs, core.Channel{Dir: d, VC: uint8(vc)})
-			}
-			w.ringRows[row][d] = chs
-		}
-	}
-	w.ringRowFor = func(m *core.Message, node topology.NodeID) int {
-		cur, dst := mesh.CoordOf(node), mesh.CoordOf(m.Dst)
-		switch {
-		case dst.Y > cur.Y:
-			return 0
-		case dst.Y < cur.Y:
-			return 1
-		default:
-			return int(m.Subnet)
-		}
-	}
-	w.initMemo()
 	return w
 }

@@ -18,7 +18,10 @@ import (
 // misroutes and escape classes are all visited. It covers the 11
 // algorithms on a fault-free mesh, an interior block and 10 random
 // faults, and the torus-capable ones on a fault-free and a faulted
-// torus.
+// torus. Along the way it checks the Boppana–Chalasani wrapper's
+// reliance on its bases offering every minimal direction: where
+// minimal fault-free progress exists, the fault filter never leaves the
+// list empty.
 func TestCandidatesPure(t *testing.T) {
 	mesh := topology.New(10, 10)
 	block, err := fault.NamedPattern("center-block", mesh)
@@ -79,6 +82,15 @@ func TestCandidatesPure(t *testing.T) {
 						alg.Candidates(m, cur, &first)
 						if *m != before {
 							t.Fatalf("%v->%v at %v: Candidates wrote the message", src, dst, cur)
+						}
+						if w, ok := alg.(*bcWrapper); ok && first.Empty() {
+							except := topology.Invalid
+							if m.RingIdx >= 0 {
+								except = m.Prev
+							}
+							if w.canProgress(cur, dst, except) {
+								t.Fatalf("%v->%v at %v: the fault filter emptied the list although minimal progress exists", src, dst, cur)
+							}
 						}
 						again.Reset()
 						alg.Candidates(m, cur, &again)

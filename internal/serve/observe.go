@@ -147,7 +147,7 @@ func toTraceJSON(n *trace.Node) *traceSpanJSON {
 		Name:            n.Name,
 		Start:           n.Start,
 		DurationSeconds: n.Duration().Seconds(),
-		EngineEvents:    len(n.Engine),
+		EngineEvents:    n.EngineLen(),
 	}
 	if !n.Parent.IsZero() {
 		out.ParentID = n.Parent.String()

@@ -385,7 +385,7 @@ func (s *Scheduler) worker() {
 		}
 		if rec != nil {
 			runSpan.Set("engine_events", rec.Total())
-			runSpan.AttachEngine(rec.Events())
+			runSpan.AttachEngine(rec.Snapshot())
 		}
 		if sampler != nil && runSpan != nil {
 			runSpan.Set("windows", sampler.Seq())

@@ -5,8 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
+
+	"wormmesh/internal/core"
+	"wormmesh/internal/sim"
+	"wormmesh/internal/trace"
 )
 
 // End-to-end trace assertions: every request archetype (cached hit,
@@ -399,5 +405,136 @@ func TestChromeExportEndpoint(t *testing.T) {
 	}
 	if !pids[1] || !pids[2] {
 		t.Errorf("chrome export missing a track: service=%v engine=%v", pids[1], pids[2])
+	}
+}
+
+// engineTrack decodes a Chrome export and keeps the engine process's
+// events: the per-message slices and instants on the cycle timeline.
+func engineTrack(t *testing.T, data []byte) []map[string]any {
+	t.Helper()
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("chrome export is not JSON: %v", err)
+	}
+	var out []map[string]any
+	for _, ev := range doc.TraceEvents {
+		if ev["pid"] == float64(2) {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestChromeExportKeepsEngineHistory: a run span holds a compact
+// snapshot of its job's flight recorder rather than a decoded copy, so
+// the export must still show exactly the events the recorder held at
+// run end after the same pooled Runner has simulated further jobs.
+func TestChromeExportKeepsEngineHistory(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, WindowCycles: -1})
+	var (
+		mu      sync.Mutex
+		atEnd   []core.FlightLog
+		runners []*sim.Runner
+	)
+	inner := s.sched.run
+	s.sched.run = func(r *sim.Runner, p sim.Params) (sim.Result, error) {
+		res, err := inner(r, p)
+		mu.Lock()
+		atEnd = append(atEnd, p.FlightRecorder.Snapshot())
+		runners = append(runners, r)
+		mu.Unlock()
+		return res, err
+	}
+	p := quickParams()
+	resp, _ := postRun(t, ts.URL, p, true)
+	id := resp.Header.Get("X-Trace-Id")
+	for _, rate := range []float64{0.003, 0.004} {
+		q := p
+		q.Rate = rate
+		if r, body := postRun(t, ts.URL, q, true); r.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", r.StatusCode, body)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(runners) != 3 || runners[1] != runners[0] || runners[2] != runners[0] {
+		t.Fatalf("jobs did not share one pooled Runner: %p", runners)
+	}
+	if len(atEnd[0]) == 0 {
+		t.Fatal("first job recorded no engine events")
+	}
+
+	r2, err := http.Get(ts.URL + "/traces/" + id + ".json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Body.Close()
+	var got bytes.Buffer
+	if _, err := got.ReadFrom(r2.Body); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(1)
+	span := tr.Start("run", trace.Context{})
+	span.AttachEngine(atEnd[0])
+	span.End()
+	var want bytes.Buffer
+	if err := trace.WriteChrome(&want, tr.Collect(span.TraceID())); err != nil {
+		t.Fatal(err)
+	}
+	if g, w := engineTrack(t, got.Bytes()), engineTrack(t, want.Bytes()); !reflect.DeepEqual(g, w) {
+		t.Errorf("exported engine track (%d events) differs from the recorder at run end (%d events)", len(g), len(w))
+	}
+}
+
+// TestShortRunsKeepEngineBudget: each run span keeps exactly the events
+// its run recorded, not its recorder's whole ring, so the tracer's
+// engine budget (counted in events) bounds the bytes the ring retains.
+// The jobs are short enough that their rings' total capacity exceeds
+// the budget while the events they record fit it, so nothing is shed.
+func TestShortRunsKeepEngineBudget(t *testing.T) {
+	const jobs = 20
+	if jobs*core.DefaultFlightRecorderEvents <= trace.DefaultEngineBudget {
+		t.Fatal("too few jobs for their rings to exceed the engine budget")
+	}
+	s, ts := newTestServer(t, Config{})
+	var ids []trace.TraceID
+	for i := range jobs {
+		p := quickParams()
+		p.Rate = 0.0005 + float64(i)*1e-5
+		p.WarmupCycles, p.MeasureCycles = 50, 200
+		resp, body := postRun(t, ts.URL, p, true)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		id, ok := trace.ParseTraceID(resp.Header.Get("X-Trace-Id"))
+		if !ok {
+			t.Fatal("response carries no X-Trace-Id")
+		}
+		ids = append(ids, id)
+	}
+	runs, heldEvents := 0, 0
+	for _, id := range ids {
+		for _, sd := range s.Tracer().Collect(id) {
+			if sd.Name != "run" {
+				continue
+			}
+			runs++
+			log, ok := sd.Engine.(core.FlightLog)
+			if !ok {
+				t.Fatalf("run span holds engine history of type %T, want core.FlightLog", sd.Engine)
+			}
+			if log.Len() == 0 || cap(log) != log.Len() {
+				t.Errorf("run span log Len/cap = %d/%d, want equal and non-zero", log.Len(), cap(log))
+			}
+			heldEvents += cap(log)
+		}
+	}
+	if runs != jobs {
+		t.Fatalf("found %d run spans, want %d", runs, jobs)
+	}
+	if heldEvents > trace.DefaultEngineBudget {
+		t.Errorf("run spans retain storage for %d events, budget %d", heldEvents, trace.DefaultEngineBudget)
 	}
 }

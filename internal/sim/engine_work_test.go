@@ -113,12 +113,6 @@ func TestValidateEveryCycle(t *testing.T) {
 			p.Config.MessageStallCycles, p.Config.StallScanInterval = 120, 5
 			return p
 		}, func(s core.Stats) bool { return s.KilledStall > 0 }},
-		{"reinject", func() Params {
-			p := saturated()
-			p.Config.MessageStallCycles, p.Config.StallScanInterval = 120, 5
-			p.Config.Kill = core.KillReinject
-			return p
-		}, func(s core.Stats) bool { return s.KilledStall > 0 }},
 		{"global-watchdog", func() Params {
 			p := DefaultParams()
 			p.Width, p.Height = 6, 6

@@ -15,10 +15,11 @@ import (
 // Runner executes simulations back to back while reusing every
 // expensive artifact a single Run would rebuild from scratch: the
 // network (routers, VC arrays, neighbor table, message arena), the
-// traffic source, both RNGs, and — keyed caches — fault models,
-// fortified routing algorithms, and traffic patterns. A 1,000-point
-// sweep through one Runner allocates O(1) networks instead of
-// O(points).
+// traffic source, both RNGs, and — keyed caches — fault models and
+// traffic patterns. Fortified routing algorithms are built per run:
+// they hold nothing but the fault model's rings, so construction costs
+// microseconds. A 1,000-point sweep through one Runner allocates O(1)
+// networks instead of O(points).
 //
 // Reuse is observably transparent: a Runner produces bit-identical
 // Results to the one-shot Run/RunWithFaults for the same Params (the
@@ -28,8 +29,8 @@ import (
 // math/rand re-seeding reproduces rand.New(rand.NewSource(seed))'s
 // stream.
 //
-// Caches are keyed by (mesh, fault count, fault seed) and (algorithm,
-// fault model, VC count), so memory grows with the number of DISTINCT
+// Caches are keyed by (mesh, fault count, fault seed) and (pattern,
+// fault model), so memory grows with the number of DISTINCT
 // experimental cells, not with the number of runs; a Runner is meant to
 // be owned by one sweep worker and discarded with Close when the sweep
 // ends. A Runner is not safe for concurrent use — give each goroutine
@@ -42,7 +43,6 @@ type Runner struct {
 
 	faults   map[faultCacheKey]*fault.Model
 	explicit map[string]*fault.Model // FaultNodes-specified models
-	algs     map[algCacheKey]core.Algorithm
 	patterns map[patternCacheKey]traffic.Pattern
 
 	// batches closes the steady-state detectors' batches (steady.go).
@@ -58,16 +58,6 @@ type faultCacheKey struct {
 	width, height int
 	faults        int
 	seed          int64
-}
-
-// algCacheKey identifies one fortified algorithm: the fault model is
-// part of the identity because fortification bakes the model's rings
-// and memo tables into the instance. Models come from the Runner's own
-// cache (or the caller), so pointer identity is the right notion.
-type algCacheKey struct {
-	name   string
-	model  *fault.Model
-	numVCs int
 }
 
 type patternCacheKey struct {
@@ -140,24 +130,6 @@ func (r *Runner) buildFaults(p Params) (*fault.Model, error) {
 	return f, nil
 }
 
-// algorithm returns the cached fortified algorithm for (name, f,
-// numVCs), constructing it on first use.
-func (r *Runner) algorithm(name string, f *fault.Model, numVCs int) (core.Algorithm, error) {
-	key := algCacheKey{name: name, model: f, numVCs: numVCs}
-	if a, ok := r.algs[key]; ok {
-		return a, nil
-	}
-	a, err := routing.New(name, f, numVCs)
-	if err != nil {
-		return nil, err
-	}
-	if r.algs == nil {
-		r.algs = map[algCacheKey]core.Algorithm{}
-	}
-	r.algs[key] = a
-	return a, nil
-}
-
 // pattern returns the cached traffic pattern for (name, f).
 func (r *Runner) pattern(name string, f *fault.Model) (traffic.Pattern, error) {
 	key := patternCacheKey{name: name, model: f}
@@ -198,7 +170,7 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 		// the stored (normalized) Cfg and keeps the network reusable.
 		cfg.StallScanInterval = 1024
 	}
-	alg, err := r.algorithm(p.Algorithm, f, cfg.NumVCs)
+	alg, err := routing.New(p.Algorithm, f, cfg.NumVCs)
 	if err != nil {
 		return Result{}, err
 	}

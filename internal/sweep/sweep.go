@@ -45,8 +45,8 @@ func Run(points []Point, workers int, progress func(done, total int)) []Outcome 
 // single run is seconds at most).
 //
 // Each worker owns one sim.Runner for its whole lifetime, so a sweep
-// builds O(workers) networks — not O(points) — and reuses fault models,
-// fortified algorithms and traffic state across the points it draws.
+// builds O(workers) networks — not O(points) — and reuses fault models
+// and traffic state across the points it draws.
 //
 // Progress callback contract: progress may be called from any worker
 // goroutine, but calls are serialized by an internal mutex — the

@@ -90,7 +90,9 @@ func WriteChrome(w io.Writer, spans []SpanData) error {
 			Dur: float64(s.Duration()) / float64(time.Microsecond),
 			Pid: chromePidService, Tid: tid, Args: args,
 		})
-		writeEngineEvents(enc, s.Engine)
+		if s.Engine != nil {
+			writeEngineEvents(enc, s.Engine.Events())
+		}
 		writeWindowSeries(enc, s.Windows)
 	}
 	enc.close()

@@ -27,7 +27,7 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	root := tr.StartAt("HTTP POST /run", Context{}, t0)
 	run := tr.StartAt("run", root.Context(), t0.Add(time.Millisecond))
 	run.Set("algorithm", "Duato")
-	run.AttachEngine([]EngineEvent{
+	run.AttachEngine(EventList{
 		{Cycle: 0, Kind: "inject", Msg: 1, Src: 0, Dst: 5},
 		{Cycle: 2, Kind: "route", Msg: 1, Src: 0, Dst: 5, Node: 1, Dir: "E", VC: 3},
 		{Cycle: 3, Kind: "flit", Msg: 1, Src: 0, Dst: 5, Node: 1, Dir: "E", Flit: 1},

@@ -5,7 +5,8 @@
 // engine imports) so any layer — HTTP handlers, the scheduler, CLIs —
 // can emit spans without coupling. It also declares EngineEvent, the
 // one decoded shape of an engine event: the engine imports this package
-// for it, and spans carry the flight recorder's events in that shape.
+// for it, and spans carry a snapshot of the flight recorder as an
+// EngineLog that decodes to that shape on read.
 //
 // The design mirrors the engine's observability contract: emitting a
 // span never blocks the traced work beyond a mutex'd ring append, a nil
@@ -120,6 +121,14 @@ type EngineEvent struct {
 	Cause string `json:"cause,omitempty"`
 }
 
+// EngineLog is the engine history attached to a span, decoded only when
+// read. core.FlightLog (a flight recorder's Snapshot) satisfies it, so a
+// span keeps the run's events in their compact pointer-free form.
+type EngineLog interface {
+	Len() int
+	Events() []EngineEvent
+}
+
 // SpanData is one completed (or in-flight, inside *Span) span record.
 type SpanData struct {
 	Trace  TraceID
@@ -129,13 +138,21 @@ type SpanData struct {
 	Start  time.Time
 	End    time.Time
 	Attrs  []Attr
-	// Engine holds decoded engine events bridged onto this span (the
-	// span-scoped flight recorder's dump); nil for pure service spans.
-	Engine []EngineEvent
+	// Engine is the engine history bridged onto this span (a snapshot
+	// of the job's flight recorder); nil for pure service spans.
+	Engine EngineLog
 	// Windows holds the run's time-resolved telemetry series (the
 	// WindowSampler's snapshots, mirrored dependency-free); the Chrome
 	// exporter renders them as counter tracks on the cycle timeline.
 	Windows []WindowPoint
+}
+
+// EngineLen returns how many engine events the span carries.
+func (d *SpanData) EngineLen() int {
+	if d.Engine == nil {
+		return 0
+	}
+	return d.Engine.Len()
 }
 
 // Duration returns End−Start (zero for instants).
@@ -184,13 +201,15 @@ func (s *Span) Set(key string, value any) {
 	s.data.Attrs = append(s.data.Attrs, Attr{Key: key, Value: value})
 }
 
-// AttachEngine hands decoded engine events to the span; they are
-// carried into the ring on End and surfaced by the Chrome exporter.
-func (s *Span) AttachEngine(events []EngineEvent) {
+// AttachEngine hands the run's engine history to the span; it is
+// carried into the ring on End and decoded by the Chrome exporter on
+// every read. The span holds log as given, and the engine budget counts
+// its Len, so log should own exactly its events (a FlightLog does).
+func (s *Span) AttachEngine(log EngineLog) {
 	if s == nil {
 		return
 	}
-	s.data.Engine = events
+	s.data.Engine = log
 }
 
 // AttachWindows hands a run's window telemetry series to the span; the
@@ -251,14 +270,14 @@ func (s *Span) EndAt(end time.Time) {
 const DefaultCapacity = 8192
 
 // DefaultEngineBudget caps how many engine events the ring retains in
-// total, across all spans. A span's decoded flight-recorder dump is
-// ~100× the size of the span itself (4096 events ≈ 700 KB), so without
-// an aggregate cap a burst of recorded runs would pin gigabytes of
-// heap into the ring and tax every subsequent GC cycle with scanning
-// it. When the budget is exceeded the OLDEST spans shed their engine
-// payload first — the span, its timing and its engine_events count
-// attribute all survive; only the cycle-level detail ages out. 64 Ki
-// events ≈ the 16 most recent fully-recorded runs ≈ 11 MB worst case.
+// total, across all spans. A span's flight-recorder snapshot (40 bytes
+// an event, pointer-free; 4096 events ≈ 160 KB) dwarfs the span itself,
+// so without an aggregate cap a burst of recorded runs would pin an
+// unbounded heap into the ring. When the budget is exceeded the OLDEST
+// spans shed their engine payload first — the span, its timing and its
+// engine_events count attribute all survive; only the cycle-level
+// detail ages out. 64 Ki events ≈ the 16 most recent fully-recorded
+// runs ≈ 2.6 MB worst case.
 const DefaultEngineBudget = 64 * 1024
 
 // Tracer owns the completed-span ring. Starting and committing spans is
@@ -270,7 +289,7 @@ type Tracer struct {
 	mu         sync.Mutex
 	buf        []SpanData
 	next       int
-	engineHeld int // total len(Engine) across the ring
+	engineHeld int // total EngineLen across the ring
 	started    atomic.Int64
 	ended      atomic.Int64
 }
@@ -350,14 +369,14 @@ func (t *Tracer) commit(d SpanData) {
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, d)
 	} else {
-		t.engineHeld -= len(t.buf[t.next].Engine)
+		t.engineHeld -= t.buf[t.next].EngineLen()
 		t.buf[t.next] = d
 		t.next++
 		if t.next == len(t.buf) {
 			t.next = 0
 		}
 	}
-	if t.engineHeld += len(d.Engine); t.engineHeld > DefaultEngineBudget {
+	if t.engineHeld += d.EngineLen(); t.engineHeld > DefaultEngineBudget {
 		t.shedEngine()
 	}
 	t.mu.Unlock()
@@ -371,8 +390,8 @@ func (t *Tracer) shedEngine() {
 	n := len(t.buf)
 	for off := 0; off < n-1 && t.engineHeld > DefaultEngineBudget; off++ {
 		i := (t.next + off) % n // t.next is the oldest slot once the ring wraps
-		if len(t.buf[i].Engine) > 0 {
-			t.engineHeld -= len(t.buf[i].Engine)
+		if n := t.buf[i].EngineLen(); n > 0 {
+			t.engineHeld -= n
 			t.buf[i].Engine = nil
 		}
 	}

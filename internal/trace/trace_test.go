@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// EventList is an engine history already decoded to events, the
+// EngineLog these tests attach.
+type EventList []EngineEvent
+
+func (l EventList) Len() int              { return len(l) }
+func (l EventList) Events() []EngineEvent { return l }
+
 func TestIDs(t *testing.T) {
 	tr := New(16)
 	s1 := tr.Start("a", Context{})
@@ -138,7 +145,7 @@ func TestEngineBudget(t *testing.T) {
 	var ids []TraceID
 	for i := 0; i < 5; i++ {
 		s := tr.Start("run", Context{})
-		s.AttachEngine(events)
+		s.AttachEngine(EventList(events))
 		s.End()
 		ids = append(ids, s.TraceID())
 	}
@@ -149,8 +156,8 @@ func TestEngineBudget(t *testing.T) {
 		if len(spans) != 1 {
 			t.Fatalf("trace %d: %d spans, want 1 (span itself must survive shedding)", i, len(spans))
 		}
-		held += len(spans[0].Engine)
-		withEngine[i] = len(spans[0].Engine) > 0
+		held += spans[0].EngineLen()
+		withEngine[i] = spans[0].EngineLen() > 0
 	}
 	if held > DefaultEngineBudget {
 		t.Fatalf("ring retains %d engine events, budget %d", held, DefaultEngineBudget)
