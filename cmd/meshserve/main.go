@@ -123,7 +123,7 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 

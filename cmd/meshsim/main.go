@@ -123,14 +123,15 @@ func main() {
 		p.Config.ChannelTelemetry = true
 	}
 	// One window sampler feeds the -windows table, the -chrometrace
-	// counter tracks and the -live dashboard. The latter two default its
-	// width (the stdout table stays tied to an explicit -windows).
-	// Replications run concurrently and print no series, so they get none.
+	// counter tracks, the -live dashboard and the -metrics-addr series.
+	// The latter three default its width (the stdout table stays tied to
+	// an explicit -windows). Replications run concurrently and print no
+	// series, so only -metrics-addr attaches one, to the first of them.
 	windowsAsked := windows > 0
-	if windows == 0 && (chromeFile != "" || live) {
+	if windows == 0 && (chromeFile != "" || live || metricsAddr != "") {
 		windows = core.DefaultWindowCycles
 	}
-	if windows > 0 && reps <= 1 {
+	if windows > 0 && (reps <= 1 || metricsAddr != "") {
 		p.Sampler = core.NewWindowSampler(windows, int(total/windows)+2)
 	}
 	// One flight-recorder ring is the run's event sink: it streams
@@ -160,9 +161,10 @@ func main() {
 	}
 
 	var sweepMetrics *metrics.Sweep
+	stopMetrics := func() {}
 	if metricsAddr != "" {
 		reg := metrics.NewRegistry()
-		p.Metrics = metrics.NewSim(reg)
+		stopMetrics = metrics.NewSim(reg).Follow(p.Sampler)
 		sweepMetrics = metrics.NewSweep(reg)
 		reg.PublishExpvar()
 		_, addr, err := metrics.Serve(metricsAddr, reg)
@@ -195,6 +197,7 @@ func main() {
 
 	if reps > 1 {
 		runReplications(p, reps, sweepMetrics, manifest, manifestFile, cache)
+		stopMetrics()
 		return
 	}
 
@@ -217,6 +220,7 @@ func main() {
 			cache.Store(p, res)
 		}
 	}
+	stopMetrics()
 	st := res.Stats
 	if manifest != nil {
 		manifest.EffectiveWarmupCycles = st.EffectiveWarmup
@@ -376,7 +380,7 @@ func main() {
 // seeds in parallel and reports mean and 95% confidence intervals.
 // Per-run observers stay on the FIRST replication only: the points run
 // concurrently on a worker pool, so sharing one flight-recorder ring,
-// post-mortem writer or engine-metrics sampler across replications
+// post-mortem writer or window sampler across replications
 // would interleave their streams (the -trace flag documents this).
 func runReplications(p wormmesh.Params, reps int, sm *metrics.Sweep, manifest *metrics.Manifest, manifestFile string, cache *serve.SweepCache) {
 	points := sweep.FaultReplicas("rep", p, reps)
@@ -389,7 +393,7 @@ func runReplications(p wormmesh.Params, reps int, sm *metrics.Sweep, manifest *m
 	for i := 1; i < len(points); i++ {
 		points[i].Params.FlightRecorder = nil
 		points[i].Params.PostmortemWriter = nil
-		points[i].Params.Metrics = nil
+		points[i].Params.Sampler = nil
 	}
 	var progress func(done, total int)
 	if sm != nil {

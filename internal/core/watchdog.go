@@ -163,8 +163,8 @@ func (n *Network) ResetStats() {
 	n.resetLinkCounters()
 }
 
-// LiveCounters is the scalar subset of the running statistics that live
-// telemetry samples every few hundred cycles. Unlike Snapshot it copies
+// LiveCounters is the scalar subset of the running statistics that a
+// WindowSampler reads at each window close. Unlike Snapshot it copies
 // no per-VC or per-node arrays, so sampling it mid-run costs nothing
 // but a handful of loads.
 type LiveCounters struct {
@@ -202,13 +202,6 @@ func (n *Network) LiveCounters() LiveCounters {
 		LatencySum:     n.stats.LatencySum,
 		LatencyCount:   n.stats.LatencyCount,
 	}
-}
-
-// LiveLatencyHist returns the current latency histogram (measurement
-// window to date) by value — read-only, allocation-free, for interval
-// percentile sampling (internal/metrics).
-func (n *Network) LiveLatencyHist() LatencyHist {
-	return n.stats.LatencyHist
 }
 
 // Snapshot finalizes and returns the statistics for the window from

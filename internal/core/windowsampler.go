@@ -35,10 +35,19 @@ type WindowSnapshot struct {
 	Delivered      int64 `json:"delivered"`
 	DeliveredFlits int64 `json:"delivered_flits"`
 	Killed         int64 `json:"killed"`
+	// KilledGlobal, KilledStall and KilledLivelock partition Killed by
+	// recovery cause; DeadlockEvents counts global watchdog firings.
+	KilledGlobal   int64 `json:"killed_global"`
+	KilledStall    int64 `json:"killed_stall"`
+	KilledLivelock int64 `json:"killed_livelock"`
+	DeadlockEvents int64 `json:"deadlock_events"`
 
 	// InFlight is the number of messages in the network when the
-	// window closed.
-	InFlight int `json:"in_flight"`
+	// window closed; BusyRouters the routers holding engine state and
+	// ArenaIdle the idle messages in the engine's recycling arena.
+	InFlight    int `json:"in_flight"`
+	BusyRouters int `json:"busy_routers"`
+	ArenaIdle   int `json:"arena_idle"`
 	// BlockedLinks counts directional physical links that spent at
 	// least one cycle blocked during the window. It requires
 	// Config.ChannelTelemetry; zero otherwise.
@@ -46,6 +55,17 @@ type WindowSnapshot struct {
 	// AvgLatency is the mean latency (cycles) of the measured messages
 	// delivered inside the window; zero when none were.
 	AvgLatency float64 `json:"avg_latency"`
+	// LatencyP50/P95/P99 are upper bounds (LatencyHist.Percentile, log2
+	// buckets) on the latency of the measured messages delivered inside
+	// the window; -1 when none were.
+	LatencyP50 int64 `json:"latency_p50"`
+	LatencyP95 int64 `json:"latency_p95"`
+	LatencyP99 int64 `json:"latency_p99"`
+
+	// HotLinks ranks the window's busiest links by flits forwarded,
+	// ties to the lower LinkID. It requires Config.ChannelTelemetry;
+	// zero otherwise.
+	HotLinks [HotLinkRanks]HotLink `json:"hot_links"`
 
 	// LinkBusy holds per-link busy fractions for the window,
 	// downsampled to 8 bits (0 = idle, 255 = busy every cycle),
@@ -53,6 +73,17 @@ type WindowSnapshot struct {
 	// The slice aliases the sampler's ring slab inside the sampler;
 	// copies handed out by Since own their storage.
 	LinkBusy []uint8 `json:"link_busy,omitempty"`
+}
+
+// HotLinkRanks is how many of a window's busiest links a snapshot
+// ranks.
+const HotLinkRanks = 3
+
+// HotLink is one ranked link of a window: its LinkID and the flits it
+// forwarded inside the window.
+type HotLink struct {
+	ID    int64 `json:"id"`
+	Flits int64 `json:"flits"`
 }
 
 // Throughput returns the window's accepted traffic in flits per node
@@ -67,11 +98,14 @@ func (w WindowSnapshot) Throughput(healthyNodes int) float64 {
 
 // WindowSampler is the time-resolved telemetry observer: every
 // `window` cycles it snapshots the engine's live counters into a
-// preallocated ring of WindowSnapshots. Like every observer it is
-// strictly read-only and RNG-free — Stats are bit-identical with the
-// sampler attached or not (locked in by the sampler golden test) —
-// and, once Start has sized its buffers, a Tick performs zero heap
-// allocations (locked in by TestStepLoadedAllocsSampler).
+// preallocated ring of WindowSnapshots. It is the one place engine
+// counters are differenced: dashboards, SSE streams, Chrome counter
+// tracks and the Prometheus bridge all read its windows. Like every
+// observer it is strictly read-only and RNG-free — Stats are
+// bit-identical with the sampler attached or not (locked in by the
+// sampler golden test) — and, once Start has sized its buffers, a Tick
+// performs zero heap allocations (locked in by
+// TestStepLoadedAllocsSampler).
 //
 // The writer (the simulation goroutine) calls Start once per run and
 // Tick once per cycle; readers call Since/Latest/Meta from any
@@ -94,6 +128,8 @@ type WindowSampler struct {
 	links       int
 	prevCyc     int64
 	prev        LiveCounters
+	prevHist    LatencyHist
+	prevFlits   []int64
 	prevBusy    []int64
 	prevBlocked []int64
 	healthy     int
@@ -145,15 +181,18 @@ func (s *WindowSampler) Start(n *Network, totalCycles int64) {
 	s.links = links
 	if links > 0 {
 		if len(s.prevBusy) != links {
+			s.prevFlits = make([]int64, links)
 			s.prevBusy = make([]int64, links)
 			s.prevBlocked = make([]int64, links)
 		}
-		_, busy, blocked, _ := n.LinkCounters()
+		flits, busy, blocked, _ := n.LinkCounters()
+		copy(s.prevFlits, flits)
 		copy(s.prevBusy, busy)
 		copy(s.prevBlocked, blocked)
 	}
 	s.prevCyc = n.Cycle()
 	s.prev = n.LiveCounters()
+	s.prevHist = n.stats.LatencyHist
 	s.healthy = n.Faults.HealthyCount()
 	s.startWall = time.Now().UnixNano()
 	s.startCycle = n.Cycle()
@@ -191,6 +230,8 @@ func (s *WindowSampler) close(n *Network) {
 		// The measurement window restarted (ResetStats) since the last
 		// close, so the live counters count from zero again.
 		s.prev = LiveCounters{}
+		s.prevHist = LatencyHist{}
+		clear(s.prevFlits)
 		clear(s.prevBusy)
 		clear(s.prevBlocked)
 	}
@@ -209,18 +250,48 @@ func (s *WindowSampler) close(n *Network) {
 	w.Delivered = cur.Delivered - s.prev.Delivered
 	w.DeliveredFlits = cur.DeliveredFlits - s.prev.DeliveredFlits
 	w.Killed = cur.Killed - s.prev.Killed
+	w.KilledGlobal = cur.KilledGlobal - s.prev.KilledGlobal
+	w.KilledStall = cur.KilledStall - s.prev.KilledStall
+	w.KilledLivelock = cur.KilledLivelock - s.prev.KilledLivelock
+	w.DeadlockEvents = cur.DeadlockEvents - s.prev.DeadlockEvents
 	w.InFlight = n.InFlight()
+	w.BusyRouters = n.BusyRouters()
+	w.ArenaIdle = n.PoolSize()
 	w.AvgLatency = 0
 	if dc := cur.LatencyCount - s.prev.LatencyCount; dc > 0 {
 		w.AvgLatency = float64(cur.LatencySum-s.prev.LatencySum) / float64(dc)
 	}
+	var hist LatencyHist
+	for b, c := range n.stats.LatencyHist {
+		hist[b] = c - s.prevHist[b]
+	}
+	s.prevHist = n.stats.LatencyHist
+	w.LatencyP50 = hist.Percentile(50)
+	w.LatencyP95 = hist.Percentile(95)
+	w.LatencyP99 = hist.Percentile(99)
 	w.BlockedLinks = 0
+	w.HotLinks = [HotLinkRanks]HotLink{}
 	w.LinkBusy = nil
 	if s.links > 0 {
-		_, busy, blocked, _ := n.LinkCounters()
+		flits, busy, blocked, _ := n.LinkCounters()
 		cycles := w.End - w.Start
 		row := s.slab[slot*s.links : (slot+1)*s.links]
+		hot := &w.HotLinks
+		for r := range hot {
+			hot[r].ID = -1
+		}
 		for i := 0; i < s.links; i++ {
+			// Insertion into the fixed top list; the ascending scan
+			// keeps ties on the lower link id.
+			df := flits[i] - s.prevFlits[i]
+			for r := range hot {
+				if hot[r].ID < 0 || df > hot[r].Flits {
+					copy(hot[r+1:], hot[r:HotLinkRanks-1])
+					hot[r] = HotLink{ID: int64(i), Flits: df}
+					break
+				}
+			}
+			s.prevFlits[i] = flits[i]
 			db := busy[i] - s.prevBusy[i]
 			frac := db * 255 / cycles
 			if frac > 255 {

@@ -24,7 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"wormmesh/internal/topology"
 )
@@ -93,14 +93,6 @@ func gap(aMin, aMax, bMin, bMax int) int {
 		return aMin - bMax
 	}
 	return 0
-}
-
-// union returns the bounding box of two regions.
-func (r Region) union(o Region) Region {
-	return Region{
-		Min: topology.Coord{X: min(r.Min.X, o.Min.X), Y: min(r.Min.Y, o.Min.Y)},
-		Max: topology.Coord{X: max(r.Max.X, o.Max.X), Y: max(r.Max.Y, o.Max.Y)},
-	}
 }
 
 // Ring is the cycle (or, for regions touching the mesh boundary, the
@@ -260,9 +252,9 @@ func New(m topology.Topology, failed []topology.NodeID) (*Model, error) {
 	return f, nil
 }
 
-// wraps reports whether the topology has wrap links, selecting the
-// torus code paths. The mesh paths are kept verbatim so mesh models
-// stay bit-identical to the pre-torus implementation.
+// wraps reports whether the topology has wrap links. It selects the
+// torus-specific steps: modular region adjacency and circular
+// intervals, the ring-fit check in New, and always-closed f-rings.
 func wraps(t topology.Topology) bool { return t.Kind() == "torus" }
 
 // canonical reduces a possibly-extended coordinate (from a wrapped
@@ -273,146 +265,77 @@ func canonical(t topology.Topology, c topology.Coord) topology.Coord {
 	return topology.Coord{X: ((c.X % w) + w) % w, Y: ((c.Y % h) + h) % h}
 }
 
-// buildRegions coalesces 8-connected groups of faulty nodes, grows each
-// group to its bounding box (marking enclosed healthy nodes faulty),
-// and repeats until the boxes are pairwise non-touching (Chebyshev
-// distance >= 2). Boxes at distance exactly 2 remain distinct regions
-// whose f-rings overlap, matching the paper's overlapping-ring case.
-func (f *Model) buildRegions() {
-	if wraps(f.Topo) {
-		f.buildRegionsTorus()
-		return
-	}
-	m := f.Topo
-	// Initial components of seed faults under 8-adjacency.
-	var regions []Region
-	visited := make([]bool, m.NodeCount())
-	for id := range f.faulty {
-		if !f.faulty[id] || visited[id] {
-			continue
-		}
-		// Flood fill.
-		stack := []topology.NodeID{topology.NodeID(id)}
-		visited[id] = true
-		box := Region{Min: m.CoordOf(topology.NodeID(id)), Max: m.CoordOf(topology.NodeID(id))}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			c := m.CoordOf(cur)
-			box.Min.X = min(box.Min.X, c.X)
-			box.Min.Y = min(box.Min.Y, c.Y)
-			box.Max.X = max(box.Max.X, c.X)
-			box.Max.Y = max(box.Max.Y, c.Y)
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					if dx == 0 && dy == 0 {
-						continue
-					}
-					nc := topology.Coord{X: c.X + dx, Y: c.Y + dy}
-					if !m.Contains(nc) {
-						continue
-					}
-					nid := m.ID(nc)
-					if f.faulty[nid] && !visited[nid] {
-						visited[nid] = true
-						stack = append(stack, nid)
-					}
-				}
-			}
-		}
-		regions = append(regions, box)
-	}
-	// Merge boxes that touch (Chebyshev <= 1) until fixpoint.
-	for {
-		merged := false
-		for i := 0; i < len(regions) && !merged; i++ {
-			for j := i + 1; j < len(regions); j++ {
-				if regions[i].chebyshev(regions[j]) <= 1 {
-					regions[i] = regions[i].union(regions[j])
-					regions = append(regions[:j], regions[j+1:]...)
-					merged = true
-					break
-				}
-			}
-		}
-		if !merged {
-			break
-		}
-	}
-	// Mark every node inside a final box faulty (deactivation).
-	for _, r := range regions {
-		for y := r.Min.Y; y <= r.Max.Y; y++ {
-			for x := r.Min.X; x <= r.Max.X; x++ {
-				f.faulty[m.ID(topology.Coord{X: x, Y: y})] = true
-			}
-		}
-	}
-	// Deterministic region order: by (Min.Y, Min.X).
-	sort.Slice(regions, func(i, j int) bool {
-		if regions[i].Min.Y != regions[j].Min.Y {
-			return regions[i].Min.Y < regions[j].Min.Y
-		}
-		return regions[i].Min.X < regions[j].Min.X
-	})
-	f.regions = regions
-}
-
-// buildRegionsTorus is the wrap-aware block convexification. Instead of
-// the mesh path's pairwise box merge it iterates a single closure:
-// flood-fill 8-connected components of the unusable set (adjacency
-// taken modulo the dimensions), box each component with the minimal
-// circular interval per dimension, deactivate every node inside the
+// buildRegions is block convexification as one closure: flood-fill the
+// 8-connected components of the unusable set, box each component with
+// its bounding interval per dimension, deactivate every node inside the
 // boxes, and repeat until no node is added. Two boxes within Chebyshev
-// distance 1 contain 8-adjacent unusable nodes, so the re-fill merges
-// them — the same fixpoint the mesh procedure computes, but correct
-// across wrap edges.
-func (f *Model) buildRegionsTorus() {
+// distance 1 contain 8-adjacent unusable nodes, so the next fill merges
+// them; at the fixpoint every box is exactly its filled component and
+// distinct boxes are pairwise at Chebyshev distance >= 2. Boxes at
+// distance exactly 2 remain distinct regions whose f-rings overlap,
+// matching the paper's overlapping-ring case.
+//
+// The topology enters only through adjacency (bounds-checked on a
+// mesh, modulo the dimensions on a torus) and the interval (first to
+// last occupied index on a mesh, the minimal circular interval on a
+// torus, which may straddle a wrap edge).
+func (f *Model) buildRegions() {
 	m := f.Topo
-	w, h := m.Width(), m.Height()
-	for {
-		visited := make([]bool, m.NodeCount())
-		var regions []Region
+	torus := wraps(m)
+	interval := linearInterval
+	if torus {
+		interval = circularInterval
+	}
+	// One scratch allocation per call: the visited mask, then per-
+	// dimension occupancy of the component being filled.
+	n, w := m.NodeCount(), m.Width()
+	scratch := make([]bool, n+w+m.Height())
+	visited, occX, occY := scratch[:n], scratch[n:n+w], scratch[n+w:]
+	var stack []topology.NodeID
+	var regions []Region
+	for grew := true; grew; {
+		clear(visited)
+		regions = regions[:0]
 		for id := range f.faulty {
 			if !f.faulty[id] || visited[id] {
 				continue
 			}
-			// Flood fill one component, recording per-dimension
-			// occupancy for the circular bounding interval.
-			occX := make([]bool, w)
-			occY := make([]bool, h)
-			stack := []topology.NodeID{topology.NodeID(id)}
+			clear(occX)
+			clear(occY)
+			stack = append(stack[:0], topology.NodeID(id))
 			visited[id] = true
 			for len(stack) > 0 {
-				cur := stack[len(stack)-1]
+				c := m.CoordOf(stack[len(stack)-1])
 				stack = stack[:len(stack)-1]
-				c := m.CoordOf(cur)
 				occX[c.X] = true
 				occY[c.Y] = true
 				for dy := -1; dy <= 1; dy++ {
 					for dx := -1; dx <= 1; dx++ {
-						if dx == 0 && dy == 0 {
+						nc := topology.Coord{X: c.X + dx, Y: c.Y + dy}
+						if torus {
+							nc = canonical(m, nc)
+						} else if !m.Contains(nc) {
 							continue
 						}
-						nid := m.ID(topology.Coord{X: ((c.X+dx)%w + w) % w, Y: ((c.Y+dy)%h + h) % h})
-						if f.faulty[nid] && !visited[nid] {
+						if nid := m.ID(nc); f.faulty[nid] && !visited[nid] {
 							visited[nid] = true
 							stack = append(stack, nid)
 						}
 					}
 				}
 			}
-			x0, x1 := circularInterval(occX)
-			y0, y1 := circularInterval(occY)
+			x0, x1 := interval(occX)
+			y0, y1 := interval(occY)
 			regions = append(regions, Region{
 				Min: topology.Coord{X: x0, Y: y0},
 				Max: topology.Coord{X: x1, Y: y1},
 			})
 		}
-		grew := false
+		grew = false
 		for _, r := range regions {
 			for y := r.Min.Y; y <= r.Max.Y; y++ {
 				for x := r.Min.X; x <= r.Max.X; x++ {
-					id := m.ID(topology.Coord{X: x % w, Y: y % h})
+					id := m.ID(canonical(m, topology.Coord{X: x, Y: y}))
 					if !f.faulty[id] {
 						f.faulty[id] = true
 						grew = true
@@ -420,20 +343,32 @@ func (f *Model) buildRegionsTorus() {
 				}
 			}
 		}
-		if !grew {
-			// Every box is exactly its (filled) component, so distinct
-			// boxes are pairwise at Chebyshev distance >= 2 and the
-			// closure is complete.
-			sort.Slice(regions, func(i, j int) bool {
-				if regions[i].Min.Y != regions[j].Min.Y {
-					return regions[i].Min.Y < regions[j].Min.Y
-				}
-				return regions[i].Min.X < regions[j].Min.X
-			})
-			f.regions = regions
-			return
+	}
+	// Deterministic region order: by (Min.Y, Min.X). Disjoint regions
+	// have distinct Min corners, so the order is total.
+	slices.SortFunc(regions, func(a, b Region) int {
+		if a.Min.Y != b.Min.Y {
+			return a.Min.Y - b.Min.Y
+		}
+		return a.Min.X - b.Min.X
+	})
+	f.regions = regions
+}
+
+// linearInterval returns the first and last occupied index of occ: the
+// mesh's bounding interval, which never wraps. occ must have at least
+// one occupied index.
+func linearInterval(occ []bool) (lo, hi int) {
+	lo = -1
+	for i, o := range occ {
+		if o {
+			if lo < 0 {
+				lo = i
+			}
+			hi = i
 		}
 	}
+	return lo, hi
 }
 
 // circularInterval returns the minimal circular interval [lo, hi]
@@ -765,18 +700,4 @@ func Generate(m topology.Topology, count int, rng *rand.Rand, opts Options) (*Mo
 		return model, nil
 	}
 	return nil, fmt.Errorf("fault: no acceptable pattern with %d faults after %d attempts", count, attempts)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

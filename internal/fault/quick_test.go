@@ -62,20 +62,6 @@ func TestQuickRegionChebyshevZeroIffOverlap(t *testing.T) {
 	}
 }
 
-func TestQuickUnionContainsBoth(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func() bool {
-		a := regionFrom(randCoord(rng), randCoord(rng))
-		b := regionFrom(randCoord(rng), randCoord(rng))
-		u := a.union(b)
-		return u.Contains(a.Min) && u.Contains(a.Max) && u.Contains(b.Min) && u.Contains(b.Max) &&
-			u.Size() >= a.Size() && u.Size() >= b.Size()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestQuickRingLengthFormula: a closed f-ring around a w×h interior
 // region has exactly 2(w+h)+4 nodes.
 func TestQuickRingLengthFormula(t *testing.T) {

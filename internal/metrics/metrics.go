@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Metric is one named value in a Registry. Writers mutate the concrete
@@ -411,7 +412,7 @@ func Serve(addr string, r *Registry) (*http.Server, string, error) {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr().String(), nil
 }

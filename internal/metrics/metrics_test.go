@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"wormmesh/internal/core"
 	"wormmesh/internal/metrics"
 	"wormmesh/internal/sim"
 )
@@ -190,7 +191,7 @@ func TestManifestDigestAndWrite(t *testing.T) {
 }
 
 // TestSimMetricsSampling drives a short real simulation with a Sim
-// sampler installed and checks the counters reflect the run — and that
+// following its window sampler and checks the counters reflect the run — and that
 // installing the sampler does not change the run's statistics.
 func TestSimMetricsSampling(t *testing.T) {
 	base := sim.DefaultParams()
@@ -208,8 +209,10 @@ func TestSimMetricsSampling(t *testing.T) {
 
 	r := metrics.NewRegistry()
 	p := base
-	p.Metrics = metrics.NewSim(r)
+	p.Sampler = core.NewWindowSampler(0, 0)
+	stop := metrics.NewSim(r).Follow(p.Sampler)
 	observed, err := sim.Run(p)
+	stop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +265,11 @@ func TestSimMetricsTelemetryAndKillSeries(t *testing.T) {
 	p.Config.StallScanInterval = 16
 
 	r := metrics.NewRegistry()
-	p.Metrics = metrics.NewSim(r)
-	if _, err := sim.Run(p); err != nil {
+	p.Sampler = core.NewWindowSampler(0, 0)
+	stop := metrics.NewSim(r).Follow(p.Sampler)
+	_, err := sim.Run(p)
+	stop()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -315,8 +321,11 @@ func TestSimMetricsTelemetryAndKillSeries(t *testing.T) {
 	r2 := metrics.NewRegistry()
 	p2 := p
 	p2.Config.ChannelTelemetry = false
-	p2.Metrics = metrics.NewSim(r2)
-	if _, err := sim.Run(p2); err != nil {
+	p2.Sampler = core.NewWindowSampler(0, 0)
+	stop = metrics.NewSim(r2).Follow(p2.Sampler)
+	_, err = sim.Run(p2)
+	stop()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if v := r2.Get("wormmesh_engine_hot_link_0_flits").Value(); v != 0 {

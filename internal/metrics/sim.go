@@ -1,16 +1,16 @@
 package metrics
 
 import (
+	"time"
+
 	"wormmesh/internal/core"
 )
 
-// Sim is the engine-facing metric set: instantaneous gauges over the
-// network's live state plus cumulative counters derived from the
-// engine's LiveCounters. The simulation loop calls Sample on a coarse
-// cadence (every 1024 cycles, plus once at run end); scrapers read the
-// atomics concurrently. Sample costs a handful of loads and atomic
-// stores — it reads only scalar engine state and draws nothing from
-// the RNG, so enabling metrics does not perturb results.
+// Sim is the engine-facing metric set. It folds a run's window series
+// (core.WindowSampler) into Prometheus series: gauges take each
+// window's close-time values, counters advance by its deltas, and the
+// rates, latency percentiles and hot links describe the latest window
+// alone. Scrapers read the atomics concurrently.
 type Sim struct {
 	Cycle          *Gauge
 	BusyRouters    *Gauge
@@ -28,36 +28,26 @@ type Sim struct {
 	KilledLivelock *Counter // livelock-guard kills (MaxHops)
 	DeadlockEvents *Counter
 
-	InjectedRate  *FloatGauge // messages per cycle since the last sample
+	InjectedRate  *FloatGauge // messages per cycle over the latest window
 	DeliveredRate *FloatGauge
 	KilledRate    *FloatGauge
 
-	// Interval latency percentiles: upper bounds read from the engine's
-	// log2 histogram over the messages DELIVERED since the last sample
-	// (-1 until the first delivery of an interval). The registry has no
-	// label support, so each quantile is its own series.
+	// Window latency percentiles: upper bounds read from the engine's
+	// log2 histogram over the messages delivered in the latest window
+	// (-1 when none were). The registry has no label support, so each
+	// quantile is its own series.
 	LatencyP50 *FloatGauge
 	LatencyP95 *FloatGauge
 	LatencyP99 *FloatGauge
 
-	// Hottest links by flits forwarded since the last sample, published
+	// Hottest links by flits forwarded in the latest window, published
 	// only when the network collects link telemetry
 	// (core.Config.ChannelTelemetry). Rank k's pair of series carries
 	// the link id (node*4+dir) and its flit count, so a scraper can
 	// watch congestion migrate without per-link label cardinality.
-	HotLinkID    [HotLinks]*Gauge
-	HotLinkFlits [HotLinks]*Gauge
-
-	// last sample state (touched only by the sampling goroutine).
-	lastCycle int64
-	last      core.LiveCounters
-	lastHist  core.LatencyHist
-	lastFlits []int64 // per-link flit counts at the previous sample
-	histDelta core.LatencyHist
+	HotLinkID    [core.HotLinkRanks]*Gauge
+	HotLinkFlits [core.HotLinkRanks]*Gauge
 }
-
-// HotLinks is how many top links by interval flits Sample publishes.
-const HotLinks = 3
 
 // NewSim registers the engine metric set on r.
 func NewSim(r *Registry) *Sim {
@@ -82,12 +72,12 @@ func NewSim(r *Registry) *Sim {
 		LatencyP50:     r.NewFloatGauge("wormmesh_engine_latency_p50_cycles", "p50 latency upper bound (log2 buckets) of messages delivered in the last sampling interval."),
 		LatencyP95:     r.NewFloatGauge("wormmesh_engine_latency_p95_cycles", "p95 latency upper bound (log2 buckets) of messages delivered in the last sampling interval."),
 		LatencyP99:     r.NewFloatGauge("wormmesh_engine_latency_p99_cycles", "p99 latency upper bound (log2 buckets) of messages delivered in the last sampling interval."),
-		HotLinkID: [HotLinks]*Gauge{
+		HotLinkID: [core.HotLinkRanks]*Gauge{
 			r.NewGauge("wormmesh_engine_hot_link_0_id", "Link id (node*4+dir) of the hottest link by interval flits (link telemetry only)."),
 			r.NewGauge("wormmesh_engine_hot_link_1_id", "Link id of the second-hottest link by interval flits."),
 			r.NewGauge("wormmesh_engine_hot_link_2_id", "Link id of the third-hottest link by interval flits."),
 		},
-		HotLinkFlits: [HotLinks]*Gauge{
+		HotLinkFlits: [core.HotLinkRanks]*Gauge{
 			r.NewGauge("wormmesh_engine_hot_link_0_flits", "Interval flit count of the hottest link (link telemetry only)."),
 			r.NewGauge("wormmesh_engine_hot_link_1_flits", "Interval flit count of the second-hottest link."),
 			r.NewGauge("wormmesh_engine_hot_link_2_flits", "Interval flit count of the third-hottest link."),
@@ -95,113 +85,72 @@ func NewSim(r *Registry) *Sim {
 	}
 }
 
-// Sample publishes the network's current state. The engine's window
-// counters reset at measurement boundaries (and the cycle restarts
-// across runs on a reused Runner), so cumulative counters advance by
-// clamped deltas: a backwards step re-bases on the new window instead
-// of going negative — Prometheus counters must never decrease.
-func (s *Sim) Sample(n *core.Network) {
-	lc := n.LiveCounters()
-	s.Cycle.Set(lc.Cycle)
-	s.BusyRouters.Set(int64(n.BusyRouters()))
-	s.ActiveMessages.Set(int64(n.InFlight()))
-	s.ArenaIdle.Set(int64(n.PoolSize()))
+// Observe folds one window into the series.
+func (s *Sim) Observe(w core.WindowSnapshot) {
+	s.Cycle.Set(w.End)
+	s.BusyRouters.Set(int64(w.BusyRouters))
+	s.ActiveMessages.Set(int64(w.InFlight))
+	s.ArenaIdle.Set(int64(w.ArenaIdle))
 
-	s.Generated.Add(counterDelta(lc.Generated, s.last.Generated))
-	injected := counterDelta(lc.Injected, s.last.Injected)
-	s.Injected.Add(injected)
-	delivered := counterDelta(lc.Delivered, s.last.Delivered)
-	s.Delivered.Add(delivered)
-	s.DeliveredFlits.Add(counterDelta(lc.DeliveredFlits, s.last.DeliveredFlits))
-	killed := counterDelta(lc.Killed, s.last.Killed)
-	s.Killed.Add(killed)
-	s.KilledGlobal.Add(counterDelta(lc.KilledGlobal, s.last.KilledGlobal))
-	s.KilledStall.Add(counterDelta(lc.KilledStall, s.last.KilledStall))
-	s.KilledLivelock.Add(counterDelta(lc.KilledLivelock, s.last.KilledLivelock))
-	s.DeadlockEvents.Add(counterDelta(lc.DeadlockEvents, s.last.DeadlockEvents))
+	s.Generated.Add(w.Generated)
+	s.Injected.Add(w.Injected)
+	s.Delivered.Add(w.Delivered)
+	s.DeliveredFlits.Add(w.DeliveredFlits)
+	s.Killed.Add(w.Killed)
+	s.KilledGlobal.Add(w.KilledGlobal)
+	s.KilledStall.Add(w.KilledStall)
+	s.KilledLivelock.Add(w.KilledLivelock)
+	s.DeadlockEvents.Add(w.DeadlockEvents)
 
-	if dc := lc.Cycle - s.lastCycle; dc > 0 {
-		s.InjectedRate.Set(float64(injected) / float64(dc))
-		s.DeliveredRate.Set(float64(delivered) / float64(dc))
-		s.KilledRate.Set(float64(killed) / float64(dc))
+	if dc := w.End - w.Start; dc > 0 {
+		s.InjectedRate.Set(float64(w.Injected) / float64(dc))
+		s.DeliveredRate.Set(float64(w.Delivered) / float64(dc))
+		s.KilledRate.Set(float64(w.Killed) / float64(dc))
 	}
-	s.lastCycle = lc.Cycle
-	s.last = lc
+	s.LatencyP50.Set(float64(w.LatencyP50))
+	s.LatencyP95.Set(float64(w.LatencyP95))
+	s.LatencyP99.Set(float64(w.LatencyP99))
 
-	// Interval latency percentiles: difference the engine's cumulative
-	// window histogram per bucket (clamped, like the scalar counters —
-	// a measurement-window reset re-bases on the new window).
-	hist := n.LiveLatencyHist()
-	for b := range hist {
-		s.histDelta[b] = counterDelta(hist[b], s.lastHist[b])
+	if w.LinkBusy != nil { // link telemetry on
+		for r, l := range w.HotLinks {
+			s.HotLinkID[r].Set(l.ID)
+			s.HotLinkFlits[r].Set(l.Flits)
+		}
 	}
-	s.lastHist = hist
-	s.LatencyP50.Set(float64(s.histDelta.Percentile(50)))
-	s.LatencyP95.Set(float64(s.histDelta.Percentile(95)))
-	s.LatencyP99.Set(float64(s.histDelta.Percentile(99)))
-
-	s.sampleHotLinks(n)
 }
 
-// sampleHotLinks publishes the top-HotLinks links by flits forwarded
-// since the previous sample. A no-op (series stay at their defaults)
-// when the network collects no link telemetry. The scan is O(links)
-// with an insertion into a HotLinks-sized array — allocation-free, as
-// the engine-off sampling budget requires.
-func (s *Sim) sampleHotLinks(n *core.Network) {
-	flits, _, _, _ := n.LinkCounters()
-	if flits == nil {
-		return
-	}
-	if len(s.lastFlits) != len(flits) {
-		s.lastFlits = make([]int64, len(flits))
-	}
-	var topID [HotLinks]int64
-	var topV [HotLinks]int64
-	for i := range topID {
-		topID[i] = -1
-	}
-	for li, cur := range flits {
-		d := counterDelta(cur, s.lastFlits[li])
-		s.lastFlits[li] = cur
-		if d <= topV[HotLinks-1] && topID[HotLinks-1] >= 0 {
-			continue
+// Follow folds ws's windows into the series from a goroutine that
+// polls every 100 ms, like meshsim -live and the SSE stream. Call the
+// returned stop once the run has returned: it ends the poller, folds
+// the windows not yet seen and counts one completed run. Windows
+// evicted from the sampler's ring before a poll are lost to the
+// counters, so size the ring for the run.
+func (s *Sim) Follow(ws *core.WindowSampler) (stop func()) {
+	next := int64(0)
+	poll := func() {
+		for _, w := range ws.Since(next) {
+			s.Observe(w)
+			next = w.Seq + 1
 		}
-		// Insertion sort into the fixed top list (ties keep the lower
-		// link id, scan order being ascending).
-		for r := 0; r < HotLinks; r++ {
-			if topID[r] < 0 || d > topV[r] {
-				copy(topID[r+1:], topID[r:HotLinks-1])
-				copy(topV[r+1:], topV[r:HotLinks-1])
-				topID[r], topV[r] = int64(li), d
-				break
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(100 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-t.C:
+				poll()
 			}
 		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+		poll()
+		s.QueuedRuns.Add(1)
 	}
-	for r := 0; r < HotLinks; r++ {
-		s.HotLinkID[r].Set(topID[r])
-		s.HotLinkFlits[r].Set(topV[r])
-	}
-}
-
-// RunStarted re-bases the delta tracking for a fresh run on a reused
-// network (cycle restarts at zero). Call it before the first Sample of
-// each run.
-func (s *Sim) RunStarted() {
-	s.lastCycle = 0
-	s.last = core.LiveCounters{}
-	s.lastHist = core.LatencyHist{}
-	s.lastFlits = nil
-}
-
-// RunFinished counts one completed simulation.
-func (s *Sim) RunFinished() { s.QueuedRuns.Add(1) }
-
-// counterDelta returns the non-negative advance of a window counter,
-// re-basing when the window was reset (cur < last).
-func counterDelta(cur, last int64) int64 {
-	if d := cur - last; d >= 0 {
-		return d
-	}
-	return cur
 }

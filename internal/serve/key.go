@@ -49,7 +49,6 @@ func Normalize(p sim.Params) (sim.Params, error) {
 	// share a cache entry.
 	p.PostmortemWriter = nil
 	p.FlightRecorder = nil
-	p.Metrics = nil
 	p.Sampler = nil
 	p.EngineWorkers = 0
 

@@ -6,12 +6,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"wormmesh/internal/core"
+	"wormmesh/internal/metrics"
 	"wormmesh/internal/sim"
 )
 
@@ -529,6 +531,36 @@ func TestRunRejectsBadParams(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body: status %d, want 400", r2.StatusCode)
+	}
+}
+
+// TestOversizedBodyRejected: a /run or /sweep body over 1 MiB answers
+// 413 before any cell is requested, so nothing is queued.
+func TestOversizedBodyRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{Registry: metrics.NewRegistry()})
+	base, err := json.Marshal(quickParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat("x", 2<<20)
+	for _, c := range []struct{ path, body string }{
+		{"/run", `{"params":` + string(base) + `,"pad":"` + pad + `"}`},
+		{"/sweep", `{"base":` + string(base) + `,"rates":[0.002],"pad":"` + pad + `"}`},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a 2 MiB body: status %d, want 413", c.path, resp.StatusCode)
+		}
+	}
+	if n := s.met.Requests.Get(); n != 0 {
+		t.Errorf("oversized bodies requested %d cells, want 0", n)
+	}
+	if n := s.InFlight(); n != 0 {
+		t.Errorf("oversized bodies queued %d jobs, want 0", n)
 	}
 }
 

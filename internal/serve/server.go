@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -237,6 +238,26 @@ func httpError(w http.ResponseWriter, r *http.Request, code int, format string, 
 	json.NewEncoder(w).Encode(env)
 }
 
+// maxBodyBytes bounds a POST body; a larger one answers 413.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxBodyBytes. On failure it writes the error response (413 for an
+// oversized body, 400 otherwise) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, r, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxBodyBytes)
+	} else {
+		httpError(w, r, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	span := spanFrom(r)
 	if r.Method != http.MethodPost {
@@ -244,8 +265,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req runRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, r, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" {
@@ -421,8 +441,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req sweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, r, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" {

@@ -23,8 +23,8 @@ func NewSweepCache(c *Cache) *SweepCache { return &SweepCache{cache: c} }
 // observed reports whether p requests side effects a cached Stats
 // cannot reproduce.
 func observed(p sim.Params) bool {
-	return p.FlightRecorder != nil || p.PostmortemWriter != nil || p.Metrics != nil ||
-		p.Sampler != nil || p.Config.ChannelTelemetry
+	return p.FlightRecorder != nil || p.PostmortemWriter != nil || p.Sampler != nil ||
+		p.Config.ChannelTelemetry
 }
 
 // Lookup implements sweep.Cache.

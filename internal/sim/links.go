@@ -26,19 +26,6 @@ const (
 	LinkBlocked
 )
 
-// ParseLinkMetric maps a flag value to a LinkMetric.
-func ParseLinkMetric(s string) (LinkMetric, error) {
-	switch s {
-	case "flits":
-		return LinkFlits, nil
-	case "busy":
-		return LinkBusy, nil
-	case "blocked":
-		return LinkBlocked, nil
-	}
-	return 0, fmt.Errorf("sim: unknown link metric %q (want flits|busy|blocked)", s)
-}
-
 func (m LinkMetric) String() string {
 	switch m {
 	case LinkFlits:

@@ -49,10 +49,6 @@ type Runner struct {
 	batches *core.WindowSampler
 }
 
-// metricsInterval is the cadence, in cycles, at which a Params.Metrics
-// sink samples the engine (plus once at run end).
-const metricsInterval = 1024
-
 type faultCacheKey struct {
 	topology      string
 	width, height int
@@ -215,10 +211,6 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 			}
 		})
 	}
-	met := p.Metrics
-	if met != nil {
-		met.RunStarted()
-	}
 	pat, err := r.pattern(p.Pattern, f)
 	if err != nil {
 		return Result{}, err
@@ -260,9 +252,6 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 		if sampler != nil {
 			sampler.Tick(net)
 		}
-		if met != nil && cycle%metricsInterval == 0 {
-			met.Sample(net)
-		}
 		cycle++
 	}
 	var det *warmupDetector
@@ -301,10 +290,6 @@ func (r *Runner) RunWithFaults(p Params, f *fault.Model) (Result, error) {
 	}
 	if sampler != nil {
 		sampler.Flush(net)
-	}
-	if met != nil {
-		met.Sample(net)
-		met.RunFinished()
 	}
 
 	res := Result{

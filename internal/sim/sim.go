@@ -11,7 +11,6 @@ import (
 
 	"wormmesh/internal/core"
 	"wormmesh/internal/fault"
-	"wormmesh/internal/metrics"
 	"wormmesh/internal/topology"
 )
 
@@ -79,16 +78,11 @@ type Params struct {
 	// excluded from JSON manifests.
 	FlightRecorder *core.FlightRecorder `json:"-"`
 
-	// Metrics, when non-nil, receives live engine telemetry every 1024
-	// cycles plus once at run end. Sampling is read-only and RNG-free,
-	// so results are unchanged.
-	Metrics *metrics.Sim `json:"-"`
-
 	// Sampler, when non-nil, is the time-resolved telemetry observer:
 	// the runner Starts it against the network at cycle 0 and Ticks it
 	// every cycle, so window snapshots of the whole run (warm-up
 	// included) stream into its ring for live readers (SSE, dashboards,
-	// meshsim -windows) while the run executes. Like every observer it
+	// meshsim -windows and -metrics-addr) while the run executes. Like every observer it
 	// is read-only and RNG-free — Stats are bit-identical with or
 	// without it — and excluded from JSON manifests.
 	Sampler *core.WindowSampler `json:"-"`

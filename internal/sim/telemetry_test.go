@@ -4,16 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"wormmesh/internal/metrics"
 	"wormmesh/internal/topology"
 )
-
-// newTestSim builds a metrics bridge on a throwaway registry for runs
-// that exercise the sampling path.
-func newTestSim(t *testing.T) *metrics.Sim {
-	t.Helper()
-	return metrics.NewSim(metrics.NewRegistry())
-}
 
 // TestTelemetryNeutralGolden locks in the per-link telemetry contract:
 // counter recording is read-only and RNG-free, so the golden scenario's
@@ -68,26 +60,6 @@ func TestTelemetryNeutralRunnerReuse(t *testing.T) {
 		if !telemetry && res.Links != nil {
 			t.Errorf("runner pass %d: telemetry off but Result.Links is set", i)
 		}
-	}
-}
-
-// TestTelemetryNeutralMetricsSampling runs the golden scenario with the
-// full metrics bridge attached (which samples the live histogram and
-// link counters mid-run) and checks Stats stay bit-identical: sampling
-// is read-only.
-func TestTelemetryNeutralMetricsSampling(t *testing.T) {
-	base := goldenRun(t)
-	p := goldenParams()
-	p.Config = DefaultEngineConfig()
-	p.Config.ChannelTelemetry = true
-	p.Metrics = newTestSim(t)
-	res, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !statsEqual(base, res.Stats) {
-		t.Errorf("metrics sampling with telemetry changed the run:\n  off: %+v\n  on:  %+v",
-			base, res.Stats)
 	}
 }
 

@@ -96,9 +96,6 @@ const (
 	LinkBlocked = sim.LinkBlocked
 )
 
-// ParseLinkMetric maps "flits"|"busy"|"blocked" to a LinkMetric.
-func ParseLinkMetric(s string) (LinkMetric, error) { return sim.ParseLinkMetric(s) }
-
 // LatencyAnatomy renders a run's latency decomposition: mean cycles and
 // share per component plus histogram percentiles.
 func LatencyAnatomy(st Stats) *report.Table { return sim.LatencyAnatomy(st) }
