@@ -5,6 +5,7 @@ import (
 
 	"wormmesh"
 	"wormmesh/internal/experiments"
+	"wormmesh/internal/report"
 )
 
 // One benchmark per figure of the paper. Each runs the same experiment
@@ -28,7 +29,7 @@ func benchOptions() experiments.Options {
 func BenchmarkFig1Throughput(b *testing.B) {
 	o := benchOptions()
 	rates := []float64{0.002, 0.006, 0.012}
-	var last *experiments.TrafficSweepResult
+	var last *report.Table
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.TrafficSweep(o, nil, rates)
 		if err != nil {
@@ -36,8 +37,8 @@ func BenchmarkFig1Throughput(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.PeakThroughput("Duato-Nbc"), "peakThr/Duato-Nbc")
-	b.ReportMetric(last.PeakThroughput("PHop"), "peakThr/PHop")
+	b.ReportMetric(peakThroughput(last, "Duato-Nbc"), "peakThr/Duato-Nbc")
+	b.ReportMetric(peakThroughput(last, "PHop"), "peakThr/PHop")
 }
 
 // BenchmarkFig2Latency regenerates Figure 2: average message latency
@@ -45,7 +46,7 @@ func BenchmarkFig1Throughput(b *testing.B) {
 func BenchmarkFig2Latency(b *testing.B) {
 	o := benchOptions()
 	rates := []float64{0.001, 0.003}
-	var last *experiments.TrafficSweepResult
+	var last *report.Table
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.TrafficSweep(o, nil, rates)
 		if err != nil {
@@ -53,15 +54,15 @@ func BenchmarkFig2Latency(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.Latency["Duato-Nbc"][0], "latency/Duato-Nbc@0.001")
-	b.ReportMetric(last.Latency["PHop"][0], "latency/PHop@0.001")
+	b.ReportMetric(last.Float("latency_cycles", "algorithm", "Duato-Nbc"), "latency/Duato-Nbc@0.001")
+	b.ReportMetric(last.Float("latency_cycles", "algorithm", "PHop"), "latency/PHop@0.001")
 }
 
 // BenchmarkFig3VCUsage regenerates Figure 3: per-virtual-channel
 // utilization with 5% node failures.
 func BenchmarkFig3VCUsage(b *testing.B) {
 	o := benchOptions()
-	var last *experiments.VCUsageResult
+	var last *report.Table
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.VCUsage(o, nil, 5)
 		if err != nil {
@@ -69,15 +70,15 @@ func BenchmarkFig3VCUsage(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.Imbalance("PHop"), "imbalance/PHop")
-	b.ReportMetric(last.Imbalance("Duato"), "imbalance/Duato")
+	b.ReportMetric(experiments.Imbalance(last.Floats("PHop")), "imbalance/PHop")
+	b.ReportMetric(experiments.Imbalance(last.Floats("Duato")), "imbalance/Duato")
 }
 
 // BenchmarkFig4Throughput regenerates Figure 4: normalized throughput
 // against the percentage of faulty nodes at saturating load.
 func BenchmarkFig4Throughput(b *testing.B) {
 	o := benchOptions()
-	var last *experiments.FaultSweepResult
+	var last *report.Table
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.FaultSweep(o, nil, []int{0, 5, 10})
 		if err != nil {
@@ -85,8 +86,8 @@ func BenchmarkFig4Throughput(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.Throughput["Duato-Nbc"][2], "normThr/Duato-Nbc@10%")
-	b.ReportMetric(last.Throughput["PHop"][2], "normThr/PHop@10%")
+	b.ReportMetric(last.Float("norm_throughput", "algorithm", "Duato-Nbc", "faults%", 10), "normThr/Duato-Nbc@10%")
+	b.ReportMetric(last.Float("norm_throughput", "algorithm", "PHop", "faults%", 10), "normThr/PHop@10%")
 }
 
 // BenchmarkFig5Latency regenerates Figure 5: normalized message
@@ -94,7 +95,7 @@ func BenchmarkFig4Throughput(b *testing.B) {
 // benched separately so each figure has its own regeneration target).
 func BenchmarkFig5Latency(b *testing.B) {
 	o := benchOptions()
-	var last *experiments.FaultSweepResult
+	var last *report.Table
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.FaultSweep(o, nil, []int{0, 10})
 		if err != nil {
@@ -102,15 +103,15 @@ func BenchmarkFig5Latency(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(last.Latency["Duato-Nbc"][1], "latency/Duato-Nbc@10%")
-	b.ReportMetric(last.Latency["PHop"][1], "latency/PHop@10%")
+	b.ReportMetric(last.Float("latency", "algorithm", "Duato-Nbc", "faults%", 10), "latency/Duato-Nbc@10%")
+	b.ReportMetric(last.Float("latency", "algorithm", "PHop", "faults%", 10), "latency/PHop@10%")
 }
 
 // BenchmarkFig6RingLoad regenerates Figure 6: traffic load
 // distribution around fault rings for the canned three-region pattern.
 func BenchmarkFig6RingLoad(b *testing.B) {
 	o := benchOptions()
-	var last *experiments.RingLoadResult
+	var last *report.Table
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RingLoad(o, nil)
 		if err != nil {
@@ -118,8 +119,8 @@ func BenchmarkFig6RingLoad(b *testing.B) {
 		}
 		last = res
 	}
-	b.ReportMetric(100*last.Faulty["PHop"].OtherShare, "otherShare%/PHop")
-	b.ReportMetric(100*last.Faulty["Duato-Nbc"].OtherShare, "otherShare%/Duato-Nbc")
+	b.ReportMetric(last.Float("other_share%", "algorithm", "PHop", "case", "faulty"), "otherShare%/PHop")
+	b.ReportMetric(last.Float("other_share%", "algorithm", "Duato-Nbc", "case", "faulty"), "otherShare%/Duato-Nbc")
 }
 
 // BenchmarkEngineCyclesPerSecond measures raw simulation speed at a

@@ -117,11 +117,19 @@ func main() {
 	var algorithms []string
 	if algs != "" {
 		algorithms = strings.Split(algs, ",")
+		listed := map[string]bool{}
 		for _, a := range algorithms {
 			if err := wormmesh.SupportsTopology(a, topo); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 				os.Exit(2)
 			}
+			// A study's cells are keyed by algorithm: a repeat would
+			// merge two cells into one.
+			if listed[a] {
+				fmt.Fprintf(os.Stderr, "experiments: algorithm %q listed twice in -algs\n", a)
+				os.Exit(2)
+			}
+			listed[a] = true
 		}
 	} else if topo.Kind() == "torus" {
 		// Figure defaults include mesh-only algorithms; on the torus the
@@ -199,231 +207,38 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", filepath.Join(csvDir, name+".csv"))
 	}
 
-	if (want["fig1"] || want["fig2"]) && hybrid {
-		res, err := experiments.HybridTrafficSweep(opt, algorithms, nil, hybridFaults, hybridRadius)
+	for _, tg := range studies(opt, algorithms, want, hybrid, hybridFaults, hybridRadius) {
+		selected := false
+		for _, name := range tg.on {
+			selected = selected || want[name]
+		}
+		if !selected {
+			continue
+		}
+		t, err := tg.run()
 		if err != nil {
 			fatal(err)
 		}
-		if want["fig1"] {
-			must(res.ThroughputChart().Write(os.Stdout))
-			fmt.Println()
-		}
-		if want["fig2"] {
-			must(res.LatencyChart().Write(os.Stdout))
-			fmt.Println()
-		}
-		fmt.Printf("hybrid sweep: %d of %d points simulated, the rest model-filled\n",
-			res.SimulatedPoints, res.TotalPoints)
-		must(res.SummaryTable().Write(os.Stdout))
-		fmt.Println()
-		must(res.Table().Write(os.Stdout))
-		saveCSV("fig1_fig2_hybrid_sweep", res.Table())
-		if manifest != nil {
-			manifest.Notes = map[string]any{
-				"hybrid_provenance":       res.Provenance(),
-				"hybrid_simulated_points": res.SimulatedPoints,
-				"hybrid_total_points":     res.TotalPoints,
+		if tg.show != nil {
+			head, charts := tg.show(t)
+			if head != "" {
+				fmt.Println(head)
 			}
-		}
-		fmt.Println()
-	} else if want["fig1"] || want["fig2"] {
-		res, err := experiments.TrafficSweep(opt, algorithms, nil)
-		if err != nil {
-			fatal(err)
-		}
-		if want["fig1"] {
-			must(res.ThroughputChart().Write(os.Stdout))
-			fmt.Println()
-		}
-		if want["fig2"] {
-			must(res.LatencyChart().Write(os.Stdout))
-			fmt.Println()
-		}
-		must(res.Table().Write(os.Stdout))
-		saveCSV("fig1_fig2_traffic_sweep", res.Table())
-		fmt.Println()
-	}
-	if want["fig3"] {
-		res, err := experiments.VCUsage(opt, algorithms, 5)
-		if err != nil {
-			fatal(err)
-		}
-		for _, alg := range res.Algorithms {
-			must(res.Chart(alg).Write(os.Stdout))
-			fmt.Println()
-		}
-		must(res.Table().Write(os.Stdout))
-		saveCSV("fig3_vc_usage", res.Table())
-		fmt.Println()
-	}
-	if want["fig4"] || want["fig5"] {
-		res, err := experiments.FaultSweep(opt, algorithms, nil)
-		if err != nil {
-			fatal(err)
-		}
-		if want["fig4"] {
-			must(res.ThroughputChart().Write(os.Stdout))
-			fmt.Println()
-		}
-		if want["fig5"] {
-			must(res.LatencyChart().Write(os.Stdout))
-			fmt.Println()
-		}
-		must(res.Table().Write(os.Stdout))
-		saveCSV("fig4_fig5_fault_sweep", res.Table())
-		fmt.Println()
-	}
-	if want["fig6"] {
-		res, err := experiments.RingLoad(opt, algorithms)
-		if err != nil {
-			fatal(err)
-		}
-		must(res.Chart().Write(os.Stdout))
-		fmt.Println()
-		must(res.Table().Write(os.Stdout))
-		saveCSV("fig6_ring_load", res.Table())
-		fmt.Println()
-	}
-	if want["ablate"] {
-		alg := "Duato-Nbc"
-		if len(algorithms) > 0 {
-			alg = algorithms[0]
-		}
-		vcs, err := opt.AblateVCs(alg, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("ablation: virtual channels (%s)\n", alg)
-		must(vcs.Table().Write(os.Stdout))
-		saveCSV("ablate_vcs", vcs.Table())
-		fmt.Println()
-		buf, err := opt.AblateBufDepth(alg, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("ablation: VC buffer depth (%s)\n", alg)
-		must(buf.Table().Write(os.Stdout))
-		saveCSV("ablate_bufdepth", buf.Table())
-		fmt.Println()
-		sel, err := opt.AblateSelection(alg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("ablation: selection policy (%s)\n", alg)
-		must(sel.Table().Write(os.Stdout))
-		saveCSV("ablate_selection", sel.Table())
-		fmt.Println()
-		msg, err := opt.AblateMessageLength(alg, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("ablation: message length at constant flit load (%s)\n", alg)
-		must(msg.Table().Write(os.Stdout))
-		saveCSV("ablate_msglength", msg.Table())
-		fmt.Println()
-	}
-	if want["model"] {
-		res, err := opt.ModelValidation(nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("analytic model vs. simulator (contention gain fitted at the first rate: %.2f)\n", res.Gain)
-		must(res.Table().Write(os.Stdout))
-		saveCSV("model_validation", res.Table())
-		fmt.Println()
-		// Faulted validation covers meshes only: the surrogate's route
-		// loads are mesh fortifications.
-		if opt.Topology == "" || opt.Topology == "mesh" {
-			fres, err := opt.FaultedModelValidation()
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Println("faulted model vs. simulator (γ fitted at 0.55 of each scenario's predicted knee)")
-			must(fres.Table().Write(os.Stdout))
-			saveCSV("model_validation_faulted", fres.Table())
-			fmt.Println()
-		}
-	}
-	if want["adaptivity"] {
-		res, err := experiments.Adaptivity(opt, algorithms, 5, 400)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("routing freedom per decision (5% faults)")
-		must(res.Table().Write(os.Stdout))
-		saveCSV("adaptivity", res.Table())
-		fmt.Println()
-	}
-	if want["scale"] {
-		res, err := experiments.Scale(opt, algorithms, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("scaling study (5% faults, 0.1 flits/node/cycle offered)")
-		must(res.Table().Write(os.Stdout))
-		saveCSV("scale", res.Table())
-		fmt.Println()
-	}
-	if want["hotspot"] {
-		res, err := experiments.Hotspot(opt, algorithms, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("hotspot study: blocked cycles on f-ring links vs. the rest (saturating load)")
-		for _, alg := range res.Algorithms {
-			if lv := res.Views[alg]; lv != nil {
-				must(lv.Write(os.Stdout))
+			for _, c := range charts {
+				must(c.Write(os.Stdout))
 				fmt.Println()
 			}
 		}
-		must(res.Table().Write(os.Stdout))
-		saveCSV("hotspot", res.Table())
-		fmt.Println()
-	}
-	if want["warmup"] {
-		alg := "Duato-Nbc"
-		if len(algorithms) > 0 {
-			alg = algorithms[0]
-		}
-		res, err := experiments.Warmup(opt, alg, 5, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("warm-up sensitivity: fixed truncation ladder vs MSER detection (%s, %d faults)\n", res.Algorithm, res.Faults)
-		must(res.Table().Write(os.Stdout))
-		saveCSV("warmup", res.Table())
-		if manifest != nil {
-			detected := map[string]any{}
-			for _, row := range res.Rows {
-				if row.Variant == "mser" {
-					detected[fmt.Sprintf("rate_%g", row.Rate)] = row.Effective
-				}
-			}
+		must(t.Write(os.Stdout))
+		saveCSV(tg.name, t)
+		if manifest != nil && tg.notes != nil {
 			if manifest.Notes == nil {
 				manifest.Notes = map[string]any{}
 			}
-			manifest.Notes["warmup_detected_truncation"] = detected
+			for k, v := range tg.notes(t) {
+				manifest.Notes[k] = v
+			}
 		}
-		fmt.Println()
-	}
-	if want["topology"] {
-		res, err := experiments.TopologyCompare(opt, algorithms)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("topology study: mesh vs torus, each normalized to its own bisection capacity")
-		must(res.Table().Write(os.Stdout))
-		saveCSV("topology", res.Table())
-		fmt.Println()
-	}
-	if want["saturation"] {
-		res, err := opt.SaturationPoints(algorithms)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("measured saturation points (fault-free)")
-		must(res.Table().Write(os.Stdout))
-		saveCSV("saturation_points", res.Table())
 		fmt.Println()
 	}
 
@@ -444,4 +259,204 @@ func must(err error) {
 	if err != nil {
 		fatal(err)
 	}
+}
+
+// A target is one study as the command runs it: the command-line names
+// that select it, the CSV file stem its table is saved under, the run
+// that produces the table, and what prints above the table and goes
+// into manifest.json's notes.
+type target struct {
+	name string
+	on   []string
+	run  func() (*report.Table, error)
+	// show returns the heading line (empty for none) and the charts
+	// printed above the table, each followed by a blank line.
+	show  func(t *report.Table) (string, []chart)
+	notes func(t *report.Table) map[string]any
+}
+
+type chart interface{ Write(io.Writer) error }
+
+// chartFunc adapts a print function to a chart.
+type chartFunc func(w io.Writer) error
+
+func (f chartFunc) Write(w io.Writer) error { return f(w) }
+
+func heading(format string, args ...any) func(*report.Table) (string, []chart) {
+	return func(*report.Table) (string, []chart) { return fmt.Sprintf(format, args...), nil }
+}
+
+// studies lists every target in output order. Figures 1/2 and 4/5 are
+// one target each: both figures of a pair come from one run.
+func studies(opt experiments.Options, algorithms []string, want map[string]bool, hybrid bool, hybridFaults int, hybridRadius float64) []target {
+	alg := "Duato-Nbc" // the single-algorithm studies' default
+	if len(algorithms) > 0 {
+		alg = algorithms[0]
+	}
+	figs12 := func(t *report.Table) []chart {
+		var charts []chart
+		if want["fig1"] {
+			charts = append(charts, t.LineChart("Figure 1: normalized accepted throughput vs. traffic generation rate (fault-free)",
+				"messages/node/cycle", "algorithm", "rate", "normalized_thr"))
+		}
+		if want["fig2"] {
+			charts = append(charts, t.LineChart("Figure 2: average message latency vs. traffic generation rate (fault-free)",
+				"messages/node/cycle", "algorithm", "rate", "latency_cycles"))
+		}
+		return charts
+	}
+	traffic := target{name: "fig1_fig2_traffic_sweep", on: []string{"fig1", "fig2"},
+		run:  func() (*report.Table, error) { return experiments.TrafficSweep(opt, algorithms, nil) },
+		show: func(t *report.Table) (string, []chart) { return "", figs12(t) },
+	}
+	if hybrid {
+		var summary *report.Table
+		traffic = target{name: "fig1_fig2_hybrid_sweep", on: traffic.on,
+			run: func() (t *report.Table, err error) {
+				t, summary, err = experiments.HybridTrafficSweep(opt, algorithms, nil, hybridFaults, hybridRadius)
+				return t, err
+			},
+			show: func(t *report.Table) (string, []chart) {
+				return "", append(figs12(t), chartFunc(func(w io.Writer) error {
+					fmt.Fprintf(w, "hybrid sweep: %d of %d points simulated, the rest model-filled\n",
+						len(t.Floats("rate", "source", sweep.SourceSimulated)), len(t.Rows))
+					return summary.Write(w)
+				}))
+			},
+			notes: func(t *report.Table) map[string]any {
+				provenance := map[string]string{}
+				for _, row := range t.Rows {
+					provenance[fmt.Sprintf("%s@%g", row[0], row[1])] = row[5].(string)
+				}
+				return map[string]any{
+					"hybrid_provenance":       provenance,
+					"hybrid_simulated_points": len(t.Floats("rate", "source", sweep.SourceSimulated)),
+					"hybrid_total_points":     len(t.Rows),
+				}
+			},
+		}
+	}
+	var gain float64
+	ts := []target{
+		traffic,
+		{name: "fig3_vc_usage", on: []string{"fig3"},
+			run: func() (*report.Table, error) { return experiments.VCUsage(opt, algorithms, 5) },
+			show: func(t *report.Table) (string, []chart) {
+				var charts []chart
+				for _, a := range t.Header[1:] {
+					b := &report.BarChart{Title: fmt.Sprintf("Figure 3: per-VC utilization — %s", a)}
+					for v, u := range t.Floats(a) {
+						b.Add(fmt.Sprintf("VC%d", v), u)
+					}
+					charts = append(charts, b)
+				}
+				return "", charts
+			},
+		},
+		{name: "fig4_fig5_fault_sweep", on: []string{"fig4", "fig5"},
+			run: func() (*report.Table, error) { return experiments.FaultSweep(opt, algorithms, nil) },
+			show: func(t *report.Table) (string, []chart) {
+				var charts []chart
+				if want["fig4"] {
+					charts = append(charts, t.LineChart("Figure 4: normalized throughput vs. percentage of faulty nodes (saturating load)",
+						"% faulty nodes", "algorithm", "faults%", "norm_throughput"))
+				}
+				if want["fig5"] {
+					charts = append(charts, t.LineChart("Figure 5: average message latency vs. percentage of faulty nodes (saturating load)",
+						"% faulty nodes", "algorithm", "faults%", "latency"))
+				}
+				return "", charts
+			},
+		},
+		{name: "fig6_ring_load", on: []string{"fig6"},
+			run: func() (*report.Table, error) { return experiments.RingLoad(opt, algorithms) },
+			show: func(t *report.Table) (string, []chart) {
+				// Grouped bars: ring and other share per algorithm and case.
+				b := &report.BarChart{Title: "Figure 6: mean node load as % of peak (f-ring nodes vs. others)"}
+				for _, row := range t.Rows {
+					b.Add(fmt.Sprintf("%s %s ring", row[0], row[1]), row[2].(float64))
+					b.Add(fmt.Sprintf("%s %s other", row[0], row[1]), row[3].(float64))
+				}
+				return "", []chart{b}
+			},
+		},
+		{name: "ablate_vcs", on: []string{"ablate"},
+			run:  func() (*report.Table, error) { return opt.AblateVCs(alg, nil) },
+			show: heading("ablation: virtual channels (%s)", alg),
+		},
+		{name: "ablate_bufdepth", on: []string{"ablate"},
+			run:  func() (*report.Table, error) { return opt.AblateBufDepth(alg, nil) },
+			show: heading("ablation: VC buffer depth (%s)", alg),
+		},
+		{name: "ablate_selection", on: []string{"ablate"},
+			run:  func() (*report.Table, error) { return opt.AblateSelection(alg) },
+			show: heading("ablation: selection policy (%s)", alg),
+		},
+		{name: "ablate_msglength", on: []string{"ablate"},
+			run:  func() (*report.Table, error) { return opt.AblateMessageLength(alg, nil) },
+			show: heading("ablation: message length at constant flit load (%s)", alg),
+		},
+		{name: "model_validation", on: []string{"model"},
+			run: func() (t *report.Table, err error) {
+				t, gain, err = opt.ModelValidation(nil)
+				return t, err
+			},
+			show: func(*report.Table) (string, []chart) {
+				return fmt.Sprintf("analytic model vs. simulator (contention gain fitted at the first rate: %.2f)", gain), nil
+			},
+		},
+	}
+	// Faulted validation covers meshes only: the surrogate's route
+	// loads are mesh fortifications.
+	if opt.Topology == "" || opt.Topology == "mesh" {
+		ts = append(ts, target{name: "model_validation_faulted", on: []string{"model"},
+			run:  opt.FaultedModelValidation,
+			show: heading("faulted model vs. simulator (γ fitted at 0.55 of each scenario's predicted knee)"),
+		})
+	}
+	var views []*report.LinkView
+	return append(ts,
+		target{name: "adaptivity", on: []string{"adaptivity"},
+			run:  func() (*report.Table, error) { return experiments.Adaptivity(opt, algorithms, 5, 400) },
+			show: heading("routing freedom per decision (5%% faults)"),
+		},
+		target{name: "scale", on: []string{"scale"},
+			run:  func() (*report.Table, error) { return experiments.Scale(opt, algorithms, nil) },
+			show: heading("scaling study (5%% faults, 0.1 flits/node/cycle offered)"),
+		},
+		target{name: "hotspot", on: []string{"hotspot"},
+			run: func() (t *report.Table, err error) {
+				t, views, err = experiments.Hotspot(opt, algorithms, nil)
+				return t, err
+			},
+			show: func(*report.Table) (string, []chart) {
+				charts := make([]chart, len(views))
+				for i, lv := range views {
+					charts[i] = lv
+				}
+				return "hotspot study: blocked cycles on f-ring links vs. the rest (saturating load)", charts
+			},
+		},
+		target{name: "warmup", on: []string{"warmup"},
+			run:  func() (*report.Table, error) { return experiments.Warmup(opt, alg, 5, nil) },
+			show: heading("warm-up sensitivity: fixed truncation ladder vs MSER detection (%s, %d faults)", alg, 5),
+			notes: func(t *report.Table) map[string]any {
+				detected := map[string]any{}
+				for _, row := range t.Rows {
+					if row[1] == "mser" {
+						detected[fmt.Sprintf("rate_%g", row[0])] = row[3]
+					}
+				}
+				return map[string]any{"warmup_detected_truncation": detected}
+			},
+		},
+		target{name: "topology", on: []string{"topology"},
+			run:  func() (*report.Table, error) { return experiments.TopologyCompare(opt, algorithms) },
+			show: heading("topology study: mesh vs torus, each normalized to its own bisection capacity"),
+		},
+		target{name: "saturation_points", on: []string{"saturation"},
+			run:  func() (*report.Table, error) { return opt.SaturationPoints(algorithms) },
+			show: heading("measured saturation points (fault-free)"),
+		},
+	)
 }

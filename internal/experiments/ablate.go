@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"wormmesh/internal/analytic"
 	"wormmesh/internal/core"
 	"wormmesh/internal/report"
 	"wormmesh/internal/routing"
@@ -12,27 +11,10 @@ import (
 	"wormmesh/internal/topology"
 )
 
-// AblationResult holds one parameter ablation: throughput and latency
-// per value of the swept parameter.
-type AblationResult struct {
-	Parameter  string
-	Algorithm  string
-	Values     []string
-	Throughput []float64
-	Latency    []float64
-	Killed     []float64
-}
-
-// Table renders the ablation.
-func (r *AblationResult) Table() *report.Table {
-	t := report.NewTable(r.Parameter, "throughput", "latency", "killed_frac")
-	for i, v := range r.Values {
-		t.AddRow(v, r.Throughput[i], r.Latency[i], r.Killed[i])
-	}
-	return t
-}
-
-func (o Options) runAblation(param, alg string, values []string, configure func(*sim.Params, int)) (*AblationResult, error) {
+// runAblation sweeps one parameter of one algorithm at half the
+// saturating load: one row per value with accepted throughput, mean
+// latency and the killed fraction of generated messages.
+func (o Options) runAblation(param, alg string, values []string, configure func(*sim.Params, int)) (*report.Table, error) {
 	var points []sweep.Point
 	for i := range values {
 		p := o.baseParams()
@@ -42,29 +24,32 @@ func (o Options) runAblation(param, alg string, values []string, configure func(
 		points = append(points, sweep.Point{Key: values[i], Params: p})
 	}
 	o.logf("ablation %s on %s: %d runs", param, alg, len(points))
-	outcomes := o.runSweep(points)
-	if err := sweep.FirstError(outcomes); err != nil {
+	cells, err := o.runCells(points)
+	if err != nil {
 		return nil, err
 	}
-	res := &AblationResult{Parameter: param, Algorithm: alg, Values: values}
-	for _, oc := range outcomes {
-		st := oc.Result.Stats
-		res.Throughput = append(res.Throughput, st.Throughput())
-		res.Latency = append(res.Latency, st.AvgLatency())
-		killed := 0.0
-		if st.Generated > 0 {
-			killed = float64(st.Killed) / float64(st.Generated)
-		}
-		res.Killed = append(res.Killed, killed)
+	t := report.NewTable(param, "throughput", "latency", "killed_frac")
+	for _, reps := range cells {
+		st := reps[0].Result.Stats
+		t.AddRow(reps[0].Point.Key, st.Throughput(), st.AvgLatency(), killedFraction(st))
 	}
-	return res, nil
+	return t, nil
+}
+
+// killedFraction is the share of generated messages the watchdog
+// killed (0 when nothing was generated).
+func killedFraction(st core.Stats) float64 {
+	if st.Generated == 0 {
+		return 0
+	}
+	return float64(st.Killed) / float64(st.Generated)
 }
 
 // AblateVCs sweeps the virtual-channel count for one algorithm (the
 // paper's "throughput is affected by the number of virtual channels"
 // claim for the first category). Counts below the algorithm's minimum
 // are skipped.
-func (o Options) AblateVCs(alg string, counts []int) (*AblationResult, error) {
+func (o Options) AblateVCs(alg string, counts []int) (*report.Table, error) {
 	if counts == nil {
 		counts = []int{6, 8, 12, 16, 24, 32}
 	}
@@ -93,7 +78,7 @@ func (o Options) AblateVCs(alg string, counts []int) (*AblationResult, error) {
 
 // AblateBufDepth sweeps the per-VC buffer depth (a parameter the paper
 // never states; the ablation quantifies its influence).
-func (o Options) AblateBufDepth(alg string, depths []int) (*AblationResult, error) {
+func (o Options) AblateBufDepth(alg string, depths []int) (*report.Table, error) {
 	if depths == nil {
 		depths = []int{1, 2, 4, 8}
 	}
@@ -111,7 +96,7 @@ func (o Options) AblateBufDepth(alg string, depths []int) (*AblationResult, erro
 // with 32, 64, or 100 flits are commonly considered; we have used
 // 100"). The offered load in flits/node/cycle is held constant so the
 // comparison isolates the length effect.
-func (o Options) AblateMessageLength(alg string, lengths []int) (*AblationResult, error) {
+func (o Options) AblateMessageLength(alg string, lengths []int) (*report.Table, error) {
 	if lengths == nil {
 		lengths = []int{32, 64, 100}
 	}
@@ -128,7 +113,7 @@ func (o Options) AblateMessageLength(alg string, lengths []int) (*AblationResult
 
 // AblateSelection sweeps the free-channel selection policy (the
 // engine's stand-in for the paper's unspecified adaptive selection).
-func (o Options) AblateSelection(alg string) (*AblationResult, error) {
+func (o Options) AblateSelection(alg string) (*report.Table, error) {
 	policies := []core.SelectionPolicy{core.SelectRandomChannel, core.SelectRandomDir, core.SelectLowestVC}
 	values := make([]string, len(policies))
 	for i, p := range policies {
@@ -137,111 +122,4 @@ func (o Options) AblateSelection(alg string) (*AblationResult, error) {
 	return o.runAblation("selection", alg, values, func(p *sim.Params, i int) {
 		p.Config.Selection = policies[i]
 	})
-}
-
-// ModelValidationResult compares the analytic model against the
-// simulator across loads.
-type ModelValidationResult struct {
-	Rates      []float64
-	Simulated  []float64 // measured mean latency
-	Uncal      []float64 // uncalibrated model
-	Calibrated []float64 // model calibrated at the first rate
-	Gain       float64
-}
-
-// Table renders the comparison.
-func (r *ModelValidationResult) Table() *report.Table {
-	t := report.NewTable("rate", "simulated", "model_raw", "model_calibrated")
-	for i := range r.Rates {
-		t.AddRow(r.Rates[i], r.Simulated[i], r.Uncal[i], r.Calibrated[i])
-	}
-	return t
-}
-
-// ModelValidation runs the simulator at each rate (fault-free,
-// Minimal-Adaptive: the configuration closest to the model's
-// assumptions), evaluates the analytic model, and calibrates the
-// contention gain on the first rate.
-func (o Options) ModelValidation(rates []float64) (*ModelValidationResult, error) {
-	if rates == nil {
-		rates = []float64{0.0005, 0.001, 0.0015, 0.002}
-	}
-	var points []sweep.Point
-	for _, rate := range rates {
-		p := o.baseParams()
-		p.Algorithm = "Minimal-Adaptive"
-		p.Rate = rate
-		points = append(points, sweep.Point{Key: fmt.Sprintf("%g", rate), Params: p})
-	}
-	o.logf("model validation: %d simulator runs", len(points))
-	outcomes := o.runSweep(points)
-	if err := sweep.FirstError(outcomes); err != nil {
-		return nil, err
-	}
-	model := analytic.Default()
-	model.Topo = topology.New(o.Width, o.Height)
-	model.MessageLength = o.MessageLength
-
-	res := &ModelValidationResult{Rates: rates}
-	for _, oc := range outcomes {
-		res.Simulated = append(res.Simulated, oc.Result.Stats.AvgLatency())
-	}
-	calibrated, err := model.Calibrate(rates[0], res.Simulated[0])
-	if err != nil {
-		return nil, err
-	}
-	res.Gain = calibrated.ContentionGain
-	for _, rate := range rates {
-		if p, err := model.Predict(rate); err == nil {
-			res.Uncal = append(res.Uncal, p.Latency)
-		} else {
-			res.Uncal = append(res.Uncal, -1)
-		}
-		if p, err := calibrated.Predict(rate); err == nil {
-			res.Calibrated = append(res.Calibrated, p.Latency)
-		} else {
-			res.Calibrated = append(res.Calibrated, -1)
-		}
-	}
-	return res, nil
-}
-
-// SaturationResult reports each algorithm's measured saturation point
-// (the paper's "NHop starts to saturate after 0.066 and PHop shows
-// signs of saturation at about 0.045" style of observation).
-type SaturationResult struct {
-	Algorithms []string
-	Rate       []float64 // offered rate where saturation was reached
-	Throughput []float64 // accepted flits/node/cycle at saturation
-}
-
-// Table renders the saturation points.
-func (r *SaturationResult) Table() *report.Table {
-	t := report.NewTable("algorithm", "saturation_rate", "saturation_throughput")
-	for i, alg := range r.Algorithms {
-		t.AddRow(alg, r.Rate[i], r.Throughput[i])
-	}
-	return t
-}
-
-// SaturationPoints searches each algorithm's saturation throughput on
-// the fault-free mesh by doubling the offered rate until accepted
-// traffic stops improving.
-func (o Options) SaturationPoints(algorithms []string) (*SaturationResult, error) {
-	if algorithms == nil {
-		algorithms = routing.AlgorithmNames
-	}
-	res := &SaturationResult{Algorithms: algorithms}
-	for _, alg := range algorithms {
-		p := o.baseParams()
-		p.Algorithm = alg
-		rate, thr, err := sweep.SaturationSearch(p, 0.0005, 0.03, 8)
-		if err != nil {
-			return nil, err
-		}
-		o.logf("  %-18s saturates by rate %.4f at %.4f flits/node/cycle", alg, rate, thr)
-		res.Rate = append(res.Rate, rate)
-		res.Throughput = append(res.Throughput, thr)
-	}
-	return res, nil
 }

@@ -11,21 +11,22 @@ func TestAblateVCs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Values) != 3 {
-		t.Fatalf("values = %v", res.Values)
+	if len(res.Rows) != 3 {
+		t.Fatalf("values = %v", res.Rows)
 	}
-	for i, thr := range res.Throughput {
-		if thr <= 0 {
-			t.Errorf("VCs=%s: zero throughput", res.Values[i])
+	thr := res.Floats("throughput")
+	for i := range thr {
+		if thr[i] <= 0 {
+			t.Errorf("VCs=%s: zero throughput", res.Rows[i][0])
 		}
 	}
 	// More VCs must not collapse throughput (generous tolerance at
 	// tiny cycle counts).
-	if res.Throughput[2] < res.Throughput[0]*0.7 {
-		t.Errorf("24 VCs (%.3f) much worse than 8 (%.3f)", res.Throughput[2], res.Throughput[0])
+	if thr[2] < thr[0]*0.7 {
+		t.Errorf("24 VCs (%.3f) much worse than 8 (%.3f)", thr[2], thr[0])
 	}
 	var sb strings.Builder
-	if err := res.Table().Write(&sb); err != nil {
+	if err := res.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -37,8 +38,8 @@ func TestAblateVCsRespectsMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Values) != 1 || res.Values[0] != "24" {
-		t.Fatalf("values = %v, want [24]", res.Values)
+	if len(res.Rows) != 1 || res.Rows[0][0] != "24" {
+		t.Fatalf("values = %v, want [24]", res.Rows)
 	}
 	if _, err := o.AblateVCs("PHop", []int{4}); err == nil {
 		t.Error("all-below-minimum sweep accepted")
@@ -54,19 +55,19 @@ func TestAblateBufDepthAndSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(buf.Values) != 2 || buf.Throughput[0] <= 0 || buf.Throughput[1] <= 0 {
-		t.Fatalf("buf ablation broken: %+v", buf)
+	if thr := buf.Floats("throughput"); len(thr) != 2 || thr[0] <= 0 || thr[1] <= 0 {
+		t.Fatalf("buf ablation broken: %+v", buf.Rows)
 	}
 	sel, err := o.AblateSelection("Duato")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sel.Values) != 3 {
-		t.Fatalf("selection values = %v", sel.Values)
+	if len(sel.Rows) != 3 {
+		t.Fatalf("selection values = %v", sel.Rows)
 	}
-	for i := range sel.Values {
-		if sel.Throughput[i] <= 0 {
-			t.Errorf("policy %s: zero throughput", sel.Values[i])
+	for i, thr := range sel.Floats("throughput") {
+		if thr <= 0 {
+			t.Errorf("policy %s: zero throughput", sel.Rows[i][0])
 		}
 	}
 }
@@ -77,34 +78,35 @@ func TestAblateMessageLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Values) != 2 {
-		t.Fatalf("values = %v", res.Values)
+	if len(res.Rows) != 2 {
+		t.Fatalf("values = %v", res.Rows)
 	}
 	// Shorter messages at the same flit load have lower latency (less
 	// serialization).
-	if res.Latency[0] >= res.Latency[1] {
-		t.Errorf("32-flit latency %.0f not below 100-flit %.0f", res.Latency[0], res.Latency[1])
+	if lat := res.Floats("latency"); lat[0] >= lat[1] {
+		t.Errorf("32-flit latency %.0f not below 100-flit %.0f", lat[0], lat[1])
 	}
 }
 
 func TestModelValidation(t *testing.T) {
 	o := tiny()
-	res, err := o.ModelValidation([]float64{0.0005, 0.001})
+	res, gain, err := o.ModelValidation([]float64{0.0005, 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Simulated) != 2 || len(res.Calibrated) != 2 {
-		t.Fatalf("lengths wrong: %+v", res)
+	simulated, calibrated := res.Floats("simulated"), res.Floats("model_calibrated")
+	if len(simulated) != 2 || len(calibrated) != 2 {
+		t.Fatalf("lengths wrong: %+v", res.Rows)
 	}
-	if res.Gain <= 0 {
-		t.Errorf("gain = %v", res.Gain)
+	if gain <= 0 {
+		t.Errorf("gain = %v", gain)
 	}
 	// Calibration anchors the first point.
-	if rel := (res.Calibrated[0] - res.Simulated[0]) / res.Simulated[0]; rel > 0.02 || rel < -0.02 {
+	if rel := (calibrated[0] - simulated[0]) / simulated[0]; rel > 0.02 || rel < -0.02 {
 		t.Errorf("calibrated anchor off by %.1f%%", 100*rel)
 	}
 	var sb strings.Builder
-	if err := res.Table().Write(&sb); err != nil {
+	if err := res.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -115,16 +117,18 @@ func TestSaturationPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, alg := range res.Algorithms {
-		if res.Throughput[i] <= 0 || res.Throughput[i] > 0.4 {
-			t.Errorf("%s: saturation throughput %v outside (0, 0.4]", alg, res.Throughput[i])
+	rate, thr := res.Floats("saturation_rate"), res.Floats("saturation_throughput")
+	for i, row := range res.Rows {
+		alg := row[0]
+		if thr[i] <= 0 || thr[i] > 0.4 {
+			t.Errorf("%s: saturation throughput %v outside (0, 0.4]", alg, thr[i])
 		}
-		if res.Rate[i] < 0.0005 {
-			t.Errorf("%s: rate %v below search start", alg, res.Rate[i])
+		if rate[i] < 0.0005 {
+			t.Errorf("%s: rate %v below search start", alg, rate[i])
 		}
 	}
 	var sb strings.Builder
-	if err := res.Table().Write(&sb); err != nil {
+	if err := res.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -135,15 +139,16 @@ func TestScaleStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Latency["Duato"]) != 2 {
-		t.Fatalf("latency series = %v", res.Latency["Duato"])
+	lat := res.Floats("latency", "algorithm", "Duato")
+	if len(lat) != 2 {
+		t.Fatalf("latency series = %v", lat)
 	}
 	// Bigger mesh, longer paths: latency must grow.
-	if res.Latency["Duato"][1] <= res.Latency["Duato"][0] {
-		t.Errorf("latency did not grow with mesh size: %v", res.Latency["Duato"])
+	if lat[1] <= lat[0] {
+		t.Errorf("latency did not grow with mesh size: %v", lat)
 	}
 	var sb strings.Builder
-	if err := res.Table().Write(&sb); err != nil {
+	if err := res.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }

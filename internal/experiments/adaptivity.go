@@ -10,23 +10,14 @@ import (
 	"wormmesh/internal/topology"
 )
 
-// AdaptivityResult quantifies each algorithm's routing freedom: the
-// average number of candidate channels (and distinct directions) its
-// headers are offered, sampled over random message states — the
-// structural quantity behind the paper's two-category split.
-type AdaptivityResult struct {
-	Algorithms []string
-	// Channels[alg] is the mean candidate-channel count per routing
-	// decision; Dirs[alg] the mean distinct-direction count.
-	Channels map[string]float64
-	Dirs     map[string]float64
-}
-
-// Adaptivity samples `samples` random (src, dst, progress) states per
-// algorithm on the fault pattern implied by the options' seed and
-// faultPercent, replaying each message's walk and recording the
-// candidate sets along it.
-func Adaptivity(o Options, algorithms []string, faultPercent, samples int) (*AdaptivityResult, error) {
+// Adaptivity quantifies each algorithm's routing freedom: the average
+// number of candidate channels (and distinct directions) its headers
+// are offered per routing decision — the structural quantity behind
+// the paper's two-category split. It samples `samples` random (src,
+// dst, progress) states per algorithm on the fault pattern implied by
+// the options' seed and faultPercent, replaying each message's walk and
+// recording the candidate sets along it. One row per algorithm.
+func Adaptivity(o Options, algorithms []string, faultPercent, samples int) (*report.Table, error) {
 	if algorithms == nil {
 		algorithms = routing.AlgorithmNames
 	}
@@ -38,11 +29,7 @@ func Adaptivity(o Options, algorithms []string, faultPercent, samples int) (*Ada
 	}
 	healthy := f.HealthyNodes()
 	mesh := f.Topo
-	res := &AdaptivityResult{
-		Algorithms: algorithms,
-		Channels:   map[string]float64{},
-		Dirs:       map[string]float64{},
-	}
+	t := report.NewTable("algorithm", "mean_channels", "mean_directions")
 	for _, algName := range algorithms {
 		alg, err := routing.New(algName, f, p.Config.NumVCs)
 		if err != nil {
@@ -86,21 +73,12 @@ func Adaptivity(o Options, algorithms []string, faultPercent, samples int) (*Ada
 				cur = mesh.NeighborID(cur, ch.Dir)
 			}
 		}
+		var channels, dirs float64
 		if decisions > 0 {
-			res.Channels[algName] = float64(chanSum) / float64(decisions)
-			res.Dirs[algName] = float64(dirSum) / float64(decisions)
+			channels = float64(chanSum) / float64(decisions)
+			dirs = float64(dirSum) / float64(decisions)
 		}
-		o.logf("  %-18s %.1f channels, %.2f directions per decision",
-			algName, res.Channels[algName], res.Dirs[algName])
+		t.AddRow(algName, channels, dirs)
 	}
-	return res, nil
-}
-
-// Table renders the adaptivity comparison.
-func (r *AdaptivityResult) Table() *report.Table {
-	t := report.NewTable("algorithm", "mean_channels", "mean_directions")
-	for _, alg := range r.Algorithms {
-		t.AddRow(alg, r.Channels[alg], r.Dirs[alg])
-	}
-	return t
+	return t, nil
 }

@@ -11,25 +11,26 @@ func TestAdaptivityOrdersCategories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	channels := func(alg string) float64 { return res.Float("mean_channels", "algorithm", alg) }
 	// The paper's two categories in one number: free-choice pools
 	// offer many channels per decision, the strict ladders few.
-	if res.Channels["PHop"] >= res.Channels["Nbc"] {
-		t.Errorf("PHop %.1f >= Nbc %.1f channels", res.Channels["PHop"], res.Channels["Nbc"])
+	if channels("PHop") >= channels("Nbc") {
+		t.Errorf("PHop %.1f >= Nbc %.1f channels", channels("PHop"), channels("Nbc"))
 	}
-	if res.Channels["Nbc"] >= res.Channels["Duato"] {
-		t.Errorf("Nbc %.1f >= Duato %.1f channels", res.Channels["Nbc"], res.Channels["Duato"])
+	if channels("Nbc") >= channels("Duato") {
+		t.Errorf("Nbc %.1f >= Duato %.1f channels", channels("Nbc"), channels("Duato"))
 	}
-	if res.Channels["Duato"] >= res.Channels["Minimal-Adaptive"] {
-		t.Errorf("Duato %.1f >= Minimal-Adaptive %.1f channels", res.Channels["Duato"], res.Channels["Minimal-Adaptive"])
+	if channels("Duato") >= channels("Minimal-Adaptive") {
+		t.Errorf("Duato %.1f >= Minimal-Adaptive %.1f channels", channels("Duato"), channels("Minimal-Adaptive"))
 	}
 	// Direction freedom is bounded by 2 for minimal routing.
-	for alg, d := range res.Dirs {
+	for i, d := range res.Floats("mean_directions") {
 		if d < 1 || d > 2.01 {
-			t.Errorf("%s: %.2f directions per decision out of [1,2]", alg, d)
+			t.Errorf("%s: %.2f directions per decision out of [1,2]", res.Rows[i][0], d)
 		}
 	}
 	var sb strings.Builder
-	if err := res.Table().Write(&sb); err != nil {
+	if err := res.Write(&sb); err != nil {
 		t.Fatal(err)
 	}
 }

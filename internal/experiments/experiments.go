@@ -1,8 +1,9 @@
-// Package experiments encodes the paper's six figures as runnable
-// experiment definitions, shared by cmd/experiments, the test suite,
-// and the benchmark harness. Each figure function returns structured
-// data plus renderers; EXPERIMENTS.md records the measured-vs-paper
-// comparison.
+// Package experiments encodes the paper's six figures and the
+// repository's extension studies as runnable experiment definitions,
+// shared by cmd/experiments and the test suite. Every study returns one
+// report.Table: the rows cmd/experiments prints and saves as CSV, with
+// typed cells that tests and charts read back. EXPERIMENTS.md records
+// the measured-vs-paper comparison.
 package experiments
 
 import (
@@ -92,15 +93,30 @@ func (o Options) baseParams() sim.Params {
 	return p
 }
 
-// runSweep executes one batch of points with the configured worker
-// count, bracketing it with the live sweep metrics when installed.
-func (o Options) runSweep(points []sweep.Point) []sweep.Outcome {
-	if o.SweepMetrics == nil {
-		return sweep.RunCached(points, o.Workers, nil, o.Cache)
+// runCells executes one batch of points with the configured worker
+// count and result cache, bracketing it with the live sweep metrics
+// when installed, and returns the outcomes grouped into cells:
+// consecutive points sharing a key are one cell's replicas, in point
+// order, so distinct cells need distinct keys.
+func (o Options) runCells(points []sweep.Point) ([][]sweep.Outcome, error) {
+	var progress func(done, total int)
+	if o.SweepMetrics != nil {
+		o.SweepMetrics.Start(len(points))
+		defer o.SweepMetrics.Finish()
+		progress = o.SweepMetrics.Progress
 	}
-	o.SweepMetrics.Start(len(points))
-	defer o.SweepMetrics.Finish()
-	return sweep.RunCached(points, o.Workers, o.SweepMetrics.Progress, o.Cache)
+	outcomes := sweep.RunCached(points, o.Workers, progress, o.Cache)
+	if err := sweep.FirstError(outcomes); err != nil {
+		return nil, err
+	}
+	var cells [][]sweep.Outcome
+	for i, oc := range outcomes {
+		if i == 0 || oc.Point.Key != outcomes[i-1].Point.Key {
+			cells = append(cells, nil)
+		}
+		cells[len(cells)-1] = append(cells[len(cells)-1], oc)
+	}
+	return cells, nil
 }
 
 func (o Options) logf(format string, args ...interface{}) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wormmesh/internal/fault"
+	"wormmesh/internal/serve"
 	"wormmesh/internal/topology"
 )
 
@@ -72,34 +73,55 @@ func TestTrafficSweepPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range algs {
-		if len(res.Normalized[alg]) != 2 || len(res.Latency[alg]) != 2 {
+		norm := res.Floats("normalized_thr", "algorithm", alg)
+		if len(norm) != 2 || len(res.Floats("latency_cycles", "algorithm", alg)) != 2 {
 			t.Fatalf("%s: series lengths wrong", alg)
 		}
-		if res.Normalized[alg][1] <= 0 {
+		if norm[1] <= 0 {
 			t.Errorf("%s: zero throughput at high rate", alg)
 		}
-		if res.PeakThroughput(alg) <= 0 {
+		if maxOf(norm) <= 0 {
 			t.Errorf("%s: no peak", alg)
 		}
-		if sat := res.SaturationRate(alg); sat != rates[0] && sat != rates[1] {
+		// Saturation: the lowest rate whose accepted throughput reaches
+		// 95% of the peak.
+		acc := res.Floats("accepted_flits", "algorithm", alg)
+		sat := rates[len(rates)-1]
+		for i, v := range acc {
+			if v >= 0.95*maxOf(acc) {
+				sat = rates[i]
+				break
+			}
+		}
+		if sat != rates[0] && sat != rates[1] {
 			t.Errorf("%s: saturation rate %v not in sweep", alg, sat)
 		}
 	}
 	// Charts and table render and mention the series.
 	var sb strings.Builder
-	if err := res.ThroughputChart().Write(&sb); err != nil {
+	if err := res.LineChart("Figure 1", "rate", "algorithm", "rate", "normalized_thr").Write(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Duato") {
 		t.Error("throughput chart missing series name")
 	}
 	sb.Reset()
-	if err := res.LatencyChart().Write(&sb); err != nil {
+	if err := res.LineChart("Figure 2", "rate", "algorithm", "rate", "latency_cycles").Write(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if tab := res.Table(); len(tab.Rows) != 4 {
-		t.Errorf("table rows = %d, want 4", len(tab.Rows))
+	if len(res.Rows) != 4 {
+		t.Errorf("table rows = %d, want 4", len(res.Rows))
 	}
+}
+
+func maxOf(v []float64) float64 {
+	best := 0.0
+	for _, x := range v {
+		if x > best {
+			best = x
+		}
+	}
+	return best
 }
 
 func TestVCUsagePlumbing(t *testing.T) {
@@ -108,32 +130,32 @@ func TestVCUsagePlumbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := res.Utilization["NHop"]
+	u := res.Floats("NHop")
 	if len(u) != 24 {
 		t.Fatalf("VC vector = %d, want 24", len(u))
 	}
 	sum := 0.0
+	used := 0
 	for _, v := range u {
 		if v < 0 || v > 1 {
 			t.Fatalf("utilization %v outside [0,1]", v)
 		}
 		sum += v
+		if v > 1e-4 {
+			used++
+		}
 	}
 	if sum == 0 {
 		t.Fatal("no VC utilization measured")
 	}
-	if res.UsedVCs("NHop") == 0 {
+	if used == 0 {
 		t.Error("UsedVCs = 0")
 	}
-	if res.Imbalance("NHop") < 1 {
-		t.Errorf("imbalance = %v, must be >= 1", res.Imbalance("NHop"))
+	if Imbalance(u) < 1 {
+		t.Errorf("imbalance = %v, must be >= 1", Imbalance(u))
 	}
-	var sb strings.Builder
-	if err := res.Chart("NHop").Write(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if tab := res.Table(); len(tab.Rows) != 24 {
-		t.Errorf("table rows = %d", len(tab.Rows))
+	if len(res.Rows) != 24 {
+		t.Errorf("table rows = %d", len(res.Rows))
 	}
 }
 
@@ -144,7 +166,7 @@ func TestFaultSweepPlumbing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range []string{"Nbc", "PHop"} {
-		thr := res.Throughput[alg]
+		thr := res.Floats("norm_throughput", "algorithm", alg)
 		if len(thr) != 2 {
 			t.Fatalf("%s: series length %d", alg, len(thr))
 		}
@@ -158,15 +180,15 @@ func TestFaultSweepPlumbing(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	if err := res.ThroughputChart().Write(&sb); err != nil {
+	if err := res.LineChart("Figure 4", "% faulty nodes", "algorithm", "faults%", "norm_throughput").Write(&sb); err != nil {
 		t.Fatal(err)
 	}
 	sb.Reset()
-	if err := res.LatencyChart().Write(&sb); err != nil {
+	if err := res.LineChart("Figure 5", "% faulty nodes", "algorithm", "faults%", "latency").Write(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if tab := res.Table(); len(tab.Rows) != 4 {
-		t.Errorf("table rows = %d", len(tab.Rows))
+	if len(res.Rows) != 4 {
+		t.Errorf("table rows = %d", len(res.Rows))
 	}
 }
 
@@ -176,33 +198,70 @@ func TestRingLoadPlumbing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RingNodes == 0 {
+	f, err := fault.New(topology.New(o.Width, o.Height), o.Fig6FaultNodes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringNodes := 0
+	for id := topology.NodeID(0); int(id) < f.Topo.NodeCount(); id++ {
+		if !f.IsFaulty(id) && f.OnAnyRing(id) {
+			ringNodes++
+		}
+	}
+	if ringNodes == 0 {
 		t.Fatal("no ring nodes identified")
 	}
-	for _, alg := range res.Algorithms {
+	for _, alg := range []string{"Duato-Nbc", "PHop"} {
+		share := func(col, c string) float64 { return res.Float(col, "algorithm", alg, "case", c) / 100 }
 		for _, d := range []struct {
 			name string
 			v    float64
 		}{
-			{"faulty ring", res.Faulty[alg].RingShare},
-			{"faulty other", res.Faulty[alg].OtherShare},
-			{"free ring", res.FaultFree[alg].RingShare},
-			{"free other", res.FaultFree[alg].OtherShare},
+			{"faulty ring", share("ring_share%", "faulty")},
+			{"faulty other", share("other_share%", "faulty")},
+			{"free ring", share("ring_share%", "0%")},
+			{"free other", share("other_share%", "0%")},
 		} {
 			if d.v < 0 || d.v > 1 {
 				t.Errorf("%s %s share = %v outside [0,1]", alg, d.name, d.v)
 			}
 		}
-		if res.Faulty[alg].PeakLoad <= 0 {
+		if res.Float("peak_load", "algorithm", alg, "case", "faulty") <= 0 {
 			t.Errorf("%s: no peak load", alg)
 		}
 	}
-	var sb strings.Builder
-	if err := res.Chart().Write(&sb); err != nil {
+	if len(res.Rows) != 4 {
+		t.Errorf("table rows = %d", len(res.Rows))
+	}
+}
+
+// TestRingLoadFromCache reruns Figure 6 over a warm result cache: the
+// cached results carry no fault model, which the study must rebuild
+// rather than dereference, and the table must come out unchanged.
+func TestRingLoadFromCache(t *testing.T) {
+	o := tiny()
+	cache := serve.NewSweepCache(serve.NewCache(0, nil, nil))
+	o.Cache = cache
+	cold, err := RingLoad(o, []string{"Duato"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tab := res.Table(); len(tab.Rows) != 4 {
-		t.Errorf("table rows = %d", len(tab.Rows))
+	warm, err := RingLoad(o, []string{"Duato"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, _, _ := cache.Stats(); hits != 2 {
+		t.Fatalf("cache hits = %d, want 2", hits)
+	}
+	var a, b strings.Builder
+	if err := cold.WriteCSV(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("cached rerun differs:\n%s\nvs\n%s", b.String(), a.String())
 	}
 }
 

@@ -8,21 +8,6 @@ import (
 	"wormmesh/internal/sweep"
 )
 
-// TrafficSweepResult holds Figures 1 and 2: per-algorithm throughput
-// and latency curves against the traffic generation rate on the
-// fault-free mesh.
-type TrafficSweepResult struct {
-	Rates      []float64
-	Algorithms []string
-	// Normalized[alg][i] is accepted throughput at Rates[i] as a
-	// fraction of bisection capacity (Figure 1's y axis).
-	Normalized map[string][]float64
-	// Accepted[alg][i] is accepted flits per node per cycle.
-	Accepted map[string][]float64
-	// Latency[alg][i] is mean message latency in cycles (Figure 2).
-	Latency map[string][]float64
-}
-
 // DefaultRates spans the paper's x axis: 0.0001 to 0.0351 messages
 // per node per cycle.
 func DefaultRates() []float64 {
@@ -30,10 +15,12 @@ func DefaultRates() []float64 {
 		0.0076, 0.0101, 0.0151, 0.0201, 0.0251, 0.0301, 0.0351}
 }
 
-// TrafficSweep runs the fault-free load sweep behind Figures 1 and 2.
-// A nil rates slice uses DefaultRates; a nil algorithms slice uses all
-// eleven configurations.
-func TrafficSweep(o Options, algorithms []string, rates []float64) (*TrafficSweepResult, error) {
+// TrafficSweep runs the fault-free load sweep behind Figures 1 and 2:
+// one row per (algorithm, rate) with accepted flits/node/cycle, that
+// throughput as a fraction of bisection capacity (Figure 1's y axis)
+// and mean message latency in cycles (Figure 2). A nil rates slice uses
+// DefaultRates; a nil algorithms slice uses all eleven configurations.
+func TrafficSweep(o Options, algorithms []string, rates []float64) (*report.Table, error) {
 	if rates == nil {
 		rates = DefaultRates()
 	}
@@ -54,97 +41,71 @@ func TrafficSweep(o Options, algorithms []string, rates []float64) (*TrafficSwee
 		}
 	}
 	o.logf("traffic sweep: %d runs (%d algorithms x %d rates)", len(points), len(algorithms), len(rates))
-	outcomes := o.runSweep(points)
-	if err := sweep.FirstError(outcomes); err != nil {
+	cells, err := o.runCells(points)
+	if err != nil {
 		return nil, err
 	}
-	res := &TrafficSweepResult{
-		Rates:      rates,
-		Algorithms: algorithms,
-		Normalized: map[string][]float64{},
-		Accepted:   map[string][]float64{},
-		Latency:    map[string][]float64{},
-	}
-	i := 0
-	for _, alg := range algorithms {
-		norm := make([]float64, len(rates))
-		acc := make([]float64, len(rates))
-		lat := make([]float64, len(rates))
-		for j := range rates {
-			r := outcomes[i].Result
-			norm[j] = r.NormalizedThroughput()
-			acc[j] = r.Stats.Throughput()
-			lat[j] = r.Stats.AvgLatency()
-			i++
-		}
-		res.Normalized[alg] = norm
-		res.Accepted[alg] = acc
-		res.Latency[alg] = lat
-		o.logf("  %-18s peak normalized throughput %.3f", alg, maxOf(norm))
-	}
-	return res, nil
-}
-
-// PeakThroughput returns an algorithm's best normalized throughput
-// across the sweep.
-func (r *TrafficSweepResult) PeakThroughput(alg string) float64 {
-	return maxOf(r.Normalized[alg])
-}
-
-// SaturationRate estimates where an algorithm saturates: the lowest
-// rate at which accepted throughput reaches 95% of its peak.
-func (r *TrafficSweepResult) SaturationRate(alg string) float64 {
-	acc := r.Accepted[alg]
-	peak := maxOf(acc)
-	for i, v := range acc {
-		if v >= 0.95*peak {
-			return r.Rates[i]
-		}
-	}
-	return r.Rates[len(r.Rates)-1]
-}
-
-// ThroughputChart renders Figure 1.
-func (r *TrafficSweepResult) ThroughputChart() *report.LineChart {
-	c := &report.LineChart{
-		Title:  "Figure 1: normalized accepted throughput vs. traffic generation rate (fault-free)",
-		XLabel: "messages/node/cycle",
-	}
-	for _, alg := range r.Algorithms {
-		c.Add(report.Series{Name: alg, X: r.Rates, Y: r.Normalized[alg]})
-	}
-	return c
-}
-
-// LatencyChart renders Figure 2.
-func (r *TrafficSweepResult) LatencyChart() *report.LineChart {
-	c := &report.LineChart{
-		Title:  "Figure 2: average message latency vs. traffic generation rate (fault-free)",
-		XLabel: "messages/node/cycle",
-	}
-	for _, alg := range r.Algorithms {
-		c.Add(report.Series{Name: alg, X: r.Rates, Y: r.Latency[alg]})
-	}
-	return c
-}
-
-// Table renders the raw series.
-func (r *TrafficSweepResult) Table() *report.Table {
 	t := report.NewTable("algorithm", "rate", "accepted_flits", "normalized_thr", "latency_cycles")
-	for _, alg := range r.Algorithms {
-		for i, rate := range r.Rates {
-			t.AddRow(alg, rate, r.Accepted[alg][i], r.Normalized[alg][i], r.Latency[alg][i])
-		}
+	for _, reps := range cells {
+		p, r := reps[0].Point.Params, reps[0].Result
+		t.AddRow(p.Algorithm, p.Rate, r.Stats.Throughput(), r.NormalizedThroughput(), r.Stats.AvgLatency())
 	}
-	return t
+	return t, nil
 }
 
-func maxOf(v []float64) float64 {
-	best := 0.0
-	for _, x := range v {
-		if x > best {
-			best = x
+// SaturationPoints searches each algorithm's saturation point on the
+// fault-free mesh (the paper's "NHop starts to saturate after 0.066"
+// style of observation): from 0.0005 it doubles the offered rate until
+// accepted throughput stops improving by more than 3%, for at most 8
+// runs, and reports the best rate with its accepted flits/node/cycle.
+// Each doubling round runs as one batch over the algorithms still
+// searching.
+func (o Options) SaturationPoints(algorithms []string) (*report.Table, error) {
+	if algorithms == nil {
+		algorithms = routing.AlgorithmNames
+	}
+	type search struct {
+		rate, bestRate, best float64
+		done                 bool
+	}
+	tol, start := 0.03, 0.0005
+	s := make([]search, len(algorithms))
+	for i := range s {
+		s[i].rate, s[i].bestRate = start, start
+	}
+	for round := 0; round < 8; round++ {
+		var points []sweep.Point
+		var searching []*search
+		for i, alg := range algorithms {
+			if !s[i].done {
+				p := o.baseParams()
+				p.Algorithm = alg
+				p.Rate = s[i].rate
+				points = append(points, sweep.Point{Key: fmt.Sprintf("%s@%g", alg, p.Rate), Params: p})
+				searching = append(searching, &s[i])
+			}
+		}
+		if len(points) == 0 {
+			break
+		}
+		cells, err := o.runCells(points)
+		if err != nil {
+			return nil, err
+		}
+		for j, reps := range cells {
+			st := searching[j]
+			if thr := reps[0].Result.Stats.Throughput(); thr > st.best*(1+tol) {
+				st.best, st.bestRate = thr, st.rate
+				st.rate *= 2
+			} else {
+				st.done = true
+			}
 		}
 	}
-	return best
+	t := report.NewTable("algorithm", "saturation_rate", "saturation_throughput")
+	for i, alg := range algorithms {
+		o.logf("  %-18s saturates by rate %.4f at %.4f flits/node/cycle", alg, s[i].bestRate, s[i].best)
+		t.AddRow(alg, s[i].bestRate, s[i].best)
+	}
+	return t, nil
 }

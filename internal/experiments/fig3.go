@@ -8,21 +8,13 @@ import (
 	"wormmesh/internal/sweep"
 )
 
-// VCUsageResult holds Figure 3: per-virtual-channel utilization for
-// every algorithm on a mesh with 5% node failures, averaged over the
-// fault sets.
-type VCUsageResult struct {
-	Algorithms []string
-	NumVCs     int
-	// Utilization[alg][v] is the mean fraction of cycles VC v was
-	// owned, averaged over physical channels and fault sets.
-	Utilization map[string][]float64
-}
-
 // VCUsage runs Figure 3 (faultPercent in whole percent of nodes; the
 // paper uses 5) at a near-saturation load so the channel pressure the
-// figure discusses is visible.
-func VCUsage(o Options, algorithms []string, faultPercent int) (*VCUsageResult, error) {
+// figure discusses is visible. The table is wide: one row per virtual
+// channel ("VC0", ...) and one column per algorithm holding the mean
+// fraction of cycles that VC was owned, averaged over physical
+// channels and fault sets.
+func VCUsage(o Options, algorithms []string, faultPercent int) (*report.Table, error) {
 	if algorithms == nil {
 		algorithms = routing.AlgorithmNames
 	}
@@ -39,36 +31,30 @@ func VCUsage(o Options, algorithms []string, faultPercent int) (*VCUsageResult, 
 	}
 	o.logf("VC usage: %d runs (%d algorithms x %d fault sets, %d%% faults)",
 		len(points), len(algorithms), o.FaultSets, faultPercent)
-	outcomes := o.runSweep(points)
-	if err := sweep.FirstError(outcomes); err != nil {
+	cells, err := o.runCells(points)
+	if err != nil {
 		return nil, err
 	}
-	res := &VCUsageResult{
-		Algorithms:  algorithms,
-		NumVCs:      base.Config.NumVCs,
-		Utilization: map[string][]float64{},
-	}
-	i := 0
-	for _, alg := range algorithms {
-		acc := make([]float64, res.NumVCs)
-		for rep := 0; rep < o.FaultSets; rep++ {
-			u := outcomes[i].Result.Stats.VCUtilization()
-			for v := range u {
-				acc[v] += u[v] / float64(o.FaultSets)
+	t := report.NewTable(append([]string{"vc"}, algorithms...)...)
+	for v := 0; v < base.Config.NumVCs; v++ {
+		row := []any{fmt.Sprintf("VC%d", v)}
+		for _, reps := range cells {
+			mean := 0.0
+			for _, rep := range reps {
+				mean += rep.Result.Stats.VCUtilization()[v] / float64(len(reps))
 			}
-			i++
+			row = append(row, mean)
 		}
-		res.Utilization[alg] = acc
-		o.logf("  %-18s mean VC utilization %.3f, imbalance %.2f", alg, meanOf(acc), res.Imbalance(alg))
+		t.AddRow(row...)
 	}
-	return res, nil
+	return t, nil
 }
 
 // Imbalance returns max/mean utilization over the VCs an algorithm
-// actually touched — the figure's "balanced use of virtual channels"
-// in one number (1.0 = perfectly even).
-func (r *VCUsageResult) Imbalance(alg string) float64 {
-	u := r.Utilization[alg]
+// actually touched — Figure 3's "balanced use of virtual channels" in
+// one number (1.0 = perfectly even). u is one algorithm's column of the
+// VCUsage table.
+func Imbalance(u []float64) float64 {
 	var max, sum float64
 	n := 0
 	for _, v := range u {
@@ -84,51 +70,4 @@ func (r *VCUsageResult) Imbalance(alg string) float64 {
 		return 0
 	}
 	return max / (sum / float64(n))
-}
-
-// UsedVCs counts channels with non-negligible utilization.
-func (r *VCUsageResult) UsedVCs(alg string) int {
-	n := 0
-	for _, v := range r.Utilization[alg] {
-		if v > 1e-4 {
-			n++
-		}
-	}
-	return n
-}
-
-// Chart renders one algorithm's per-VC bars.
-func (r *VCUsageResult) Chart(alg string) *report.BarChart {
-	b := &report.BarChart{Title: fmt.Sprintf("Figure 3: per-VC utilization — %s", alg), Unit: ""}
-	for v, u := range r.Utilization[alg] {
-		b.Add(fmt.Sprintf("VC%d", v), u)
-	}
-	return b
-}
-
-// Table renders the full matrix.
-func (r *VCUsageResult) Table() *report.Table {
-	header := []string{"vc"}
-	header = append(header, r.Algorithms...)
-	t := report.NewTable(header...)
-	for v := 0; v < r.NumVCs; v++ {
-		row := make([]interface{}, 0, len(r.Algorithms)+1)
-		row = append(row, fmt.Sprintf("VC%d", v))
-		for _, alg := range r.Algorithms {
-			row = append(row, r.Utilization[alg][v])
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-func meanOf(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range v {
-		sum += x
-	}
-	return sum / float64(len(v))
 }

@@ -8,24 +8,12 @@ import (
 	"wormmesh/internal/sweep"
 )
 
-// FaultSweepResult holds Figures 4 and 5: normalized throughput and
-// message latency at saturating ("100%") load against the percentage
-// of faulty nodes, averaged over the fault sets.
-type FaultSweepResult struct {
-	Algorithms    []string
-	FaultPercents []int
-	// Throughput[alg][i] is mean normalized throughput at
-	// FaultPercents[i]; ThroughputStd the std over fault sets.
-	Throughput    map[string][]float64
-	ThroughputStd map[string][]float64
-	Latency       map[string][]float64
-	LatencyStd    map[string][]float64
-	Killed        map[string][]float64 // killed fraction of generated
-}
-
-// FaultSweep runs the fault cases behind Figures 4 and 5. A nil
-// faultPercents uses the paper's {0, 5, 10}.
-func FaultSweep(o Options, algorithms []string, faultPercents []int) (*FaultSweepResult, error) {
+// FaultSweep runs the fault cases behind Figures 4 and 5 at saturating
+// ("100%") load: one row per (algorithm, fault percentage) with the
+// mean and std over fault sets of normalized throughput (Figure 4) and
+// message latency (Figure 5), plus the mean killed fraction of
+// generated messages. A nil faultPercents uses the paper's {0, 5, 10}.
+func FaultSweep(o Options, algorithms []string, faultPercents []int) (*report.Table, error) {
 	if algorithms == nil {
 		algorithms = routing.AlgorithmNames
 	}
@@ -34,6 +22,7 @@ func FaultSweep(o Options, algorithms []string, faultPercents []int) (*FaultSwee
 	}
 	nodes := o.Width * o.Height
 	var points []sweep.Point
+	var labels [][]any
 	for _, alg := range algorithms {
 		for _, pct := range faultPercents {
 			p := o.baseParams()
@@ -46,103 +35,20 @@ func FaultSweep(o Options, algorithms []string, faultPercents []int) (*FaultSwee
 				reps = 1 // no fault pattern to vary
 			}
 			points = append(points, sweep.FaultReplicas(key, p, reps)...)
+			labels = append(labels, []any{alg, pct})
 		}
 	}
 	o.logf("fault sweep: %d runs (%d algorithms x %v%% faults x %d sets)",
 		len(points), len(algorithms), faultPercents, o.FaultSets)
-	outcomes := o.runSweep(points)
-	if err := sweep.FirstError(outcomes); err != nil {
+	cells, err := o.runCells(points)
+	if err != nil {
 		return nil, err
 	}
-	cells := sweep.Aggregate(outcomes)
-	byKey := map[string]sweep.Cell{}
-	for _, c := range cells {
-		byKey[c.Key] = c
-	}
-	res := &FaultSweepResult{
-		Algorithms:    algorithms,
-		FaultPercents: faultPercents,
-		Throughput:    map[string][]float64{},
-		ThroughputStd: map[string][]float64{},
-		Latency:       map[string][]float64{},
-		LatencyStd:    map[string][]float64{},
-		Killed:        map[string][]float64{},
-	}
-	for _, alg := range algorithms {
-		thr := make([]float64, len(faultPercents))
-		thrStd := make([]float64, len(faultPercents))
-		lat := make([]float64, len(faultPercents))
-		latStd := make([]float64, len(faultPercents))
-		killed := make([]float64, len(faultPercents))
-		for i, pct := range faultPercents {
-			c := byKey[fmt.Sprintf("%s@%d%%", alg, pct)]
-			thr[i] = c.Normalized.Mean()
-			thrStd[i] = c.Normalized.Std()
-			lat[i] = c.Latency.Mean()
-			latStd[i] = c.Latency.Std()
-			killed[i] = c.KilledFraction.Mean()
-		}
-		res.Throughput[alg] = thr
-		res.ThroughputStd[alg] = thrStd
-		res.Latency[alg] = lat
-		res.LatencyStd[alg] = latStd
-		res.Killed[alg] = killed
-		o.logf("  %-18s thr %v", alg, formatSeries(thr))
-	}
-	return res, nil
-}
-
-// ThroughputChart renders Figure 4.
-func (r *FaultSweepResult) ThroughputChart() *report.LineChart {
-	c := &report.LineChart{
-		Title:  "Figure 4: normalized throughput vs. percentage of faulty nodes (saturating load)",
-		XLabel: "% faulty nodes",
-	}
-	x := make([]float64, len(r.FaultPercents))
-	for i, p := range r.FaultPercents {
-		x[i] = float64(p)
-	}
-	for _, alg := range r.Algorithms {
-		c.Add(report.Series{Name: alg, X: x, Y: r.Throughput[alg]})
-	}
-	return c
-}
-
-// LatencyChart renders Figure 5.
-func (r *FaultSweepResult) LatencyChart() *report.LineChart {
-	c := &report.LineChart{
-		Title:  "Figure 5: average message latency vs. percentage of faulty nodes (saturating load)",
-		XLabel: "% faulty nodes",
-	}
-	x := make([]float64, len(r.FaultPercents))
-	for i, p := range r.FaultPercents {
-		x[i] = float64(p)
-	}
-	for _, alg := range r.Algorithms {
-		c.Add(report.Series{Name: alg, X: x, Y: r.Latency[alg]})
-	}
-	return c
-}
-
-// Table renders both figures' data.
-func (r *FaultSweepResult) Table() *report.Table {
 	t := report.NewTable("algorithm", "faults%", "norm_throughput", "thr_std", "latency", "lat_std", "killed_frac")
-	for _, alg := range r.Algorithms {
-		for i, pct := range r.FaultPercents {
-			t.AddRow(alg, pct, r.Throughput[alg][i], r.ThroughputStd[alg][i],
-				r.Latency[alg][i], r.LatencyStd[alg][i], r.Killed[alg][i])
-		}
+	for i, reps := range cells {
+		c := sweep.Aggregate(reps)[0]
+		t.AddRow(append(labels[i], c.Normalized.Mean(), c.Normalized.Std(),
+			c.Latency.Mean(), c.Latency.Std(), c.KilledFraction.Mean())...)
 	}
-	return t
-}
-
-func formatSeries(v []float64) string {
-	s := "["
-	for i, x := range v {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%.3f", x)
-	}
-	return s + "]"
+	return t, nil
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"wormmesh/internal/report"
 	"wormmesh/internal/routing"
 	"wormmesh/internal/sim"
@@ -10,20 +8,13 @@ import (
 	"wormmesh/internal/topology"
 )
 
-// RingLoadResult holds Figure 6: the traffic load distribution over
-// f-ring nodes versus the remaining nodes, for a faulty run on the
-// canned three-region pattern and for the fault-free baseline scored
-// on the same node set.
-type RingLoadResult struct {
-	Algorithms []string
-	// Faulty[alg] and FaultFree[alg] hold the two bars per algorithm.
-	Faulty    map[string]sim.LoadDistribution
-	FaultFree map[string]sim.LoadDistribution
-	RingNodes int
-}
-
-// RingLoad runs Figure 6 at saturating load.
-func RingLoad(o Options, algorithms []string) (*RingLoadResult, error) {
+// RingLoad runs Figure 6 at saturating load: the traffic load
+// distribution over f-ring nodes versus the remaining nodes. Each
+// algorithm gets two rows, case "0%" (the fault-free run scored on the
+// ring nodes of the canned three-region pattern) then case "faulty"
+// (the run on that pattern), with shares and peak utilization in
+// percent.
+func RingLoad(o Options, algorithms []string) (*report.Table, error) {
 	if algorithms == nil {
 		algorithms = routing.AlgorithmNames
 	}
@@ -42,19 +33,22 @@ func RingLoad(o Options, algorithms []string) (*RingLoadResult, error) {
 	}
 	o.logf("ring load: %d runs (%d algorithms, canned pattern of %d faults + fault-free)",
 		len(points), len(algorithms), len(faultNodes))
-	outcomes := o.runSweep(points)
-	if err := sweep.FirstError(outcomes); err != nil {
+	cells, err := o.runCells(points)
+	if err != nil {
 		return nil, err
 	}
-	res := &RingLoadResult{
-		Algorithms: algorithms,
-		Faulty:     map[string]sim.LoadDistribution{},
-		FaultFree:  map[string]sim.LoadDistribution{},
-	}
-	for i := 0; i < len(outcomes); i += 2 {
-		alg := algorithms[i/2]
-		faulty := outcomes[i].Result
-		free := outcomes[i+1].Result
+	t := report.NewTable("algorithm", "case", "ring_share%", "other_share%", "peak_load", "peak_node_util%")
+	for i := 0; i < len(cells); i += 2 {
+		alg := cells[i][0].Point.Params.Algorithm
+		faulty, free := cells[i][0].Result, cells[i+1][0].Result
+		// A cache hit carries no fault model; rebuild it from the point.
+		for _, r := range []*sim.Result{&faulty, &free} {
+			if r.Faults == nil {
+				if r.Faults, err = sim.BuildFaults(r.Params); err != nil {
+					return nil, err
+				}
+			}
+		}
 		// Score the fault-free run on the nodes that ring the canned
 		// pattern in the faulty run.
 		ringSet := map[topology.NodeID]bool{}
@@ -63,41 +57,10 @@ func RingLoad(o Options, algorithms []string) (*RingLoadResult, error) {
 				ringSet[id] = true
 			}
 		}
-		res.RingNodes = len(ringSet)
-		res.Faulty[alg] = faulty.LoadDistribution()
-		res.FaultFree[alg] = free.LoadDistributionFor(ringSet)
-		o.logf("  %-18s faulty ring/other %.1f%%/%.1f%%  fault-free %.1f%%/%.1f%%",
-			alg,
-			100*res.Faulty[alg].RingShare, 100*res.Faulty[alg].OtherShare,
-			100*res.FaultFree[alg].RingShare, 100*res.FaultFree[alg].OtherShare)
-	}
-	return res, nil
-}
-
-// Chart renders the grouped bars (ring share per algorithm and fault
-// case; the companion "other" values are in the table).
-func (r *RingLoadResult) Chart() *report.BarChart {
-	b := &report.BarChart{
-		Title: "Figure 6: mean node load as % of peak (f-ring nodes vs. others)",
-		Unit:  "",
-	}
-	for _, alg := range r.Algorithms {
-		b.Add(fmt.Sprintf("%s 0%% ring", alg), 100*r.FaultFree[alg].RingShare)
-		b.Add(fmt.Sprintf("%s 0%% other", alg), 100*r.FaultFree[alg].OtherShare)
-		b.Add(fmt.Sprintf("%s faulty ring", alg), 100*r.Faulty[alg].RingShare)
-		b.Add(fmt.Sprintf("%s faulty other", alg), 100*r.Faulty[alg].OtherShare)
-	}
-	return b
-}
-
-// Table renders the full distribution data.
-func (r *RingLoadResult) Table() *report.Table {
-	t := report.NewTable("algorithm", "case", "ring_share%", "other_share%", "peak_load", "peak_node_util%")
-	for _, alg := range r.Algorithms {
-		f := r.FaultFree[alg]
+		f := free.LoadDistributionFor(ringSet)
 		t.AddRow(alg, "0%", 100*f.RingShare, 100*f.OtherShare, f.PeakLoad, 100*f.PeakUtilization)
-		d := r.Faulty[alg]
+		d := faulty.LoadDistribution()
 		t.AddRow(alg, "faulty", 100*d.RingShare, 100*d.OtherShare, d.PeakLoad, 100*d.PeakUtilization)
 	}
-	return t
+	return t, nil
 }

@@ -10,47 +10,6 @@ import (
 	"wormmesh/internal/sweep"
 )
 
-// HotspotRow is one cell of the hotspot study: one algorithm on one
-// fault case at one load, with its on-/off-ring blocked-cycle split and
-// the latency anatomy headline numbers.
-type HotspotRow struct {
-	Algorithm string
-	Case      string // "fig6" or the random fault count
-	Load      string // "knee" (saturation onset) or "sat" (100% load)
-	Faults    int    // seed faults of the case
-
-	// Blocked is the blocked-cycle aggregation over directional links:
-	// mean blocked cycles per on-ring link vs. per off-ring link. A
-	// ratio above 1 localizes the congestion on the rings — which holds
-	// at the knee; past saturation the whole fabric blocks and the
-	// split washes out (see EXPERIMENTS.md).
-	Blocked sim.RingSplit
-	// Busy is the same split over busy cycles (would-be senders): the
-	// utilization imbalance, which survives past saturation.
-	Busy sim.RingSplit
-
-	// BlockedShare is the fraction of total message latency spent
-	// credit/switch-blocked; RingShare the f-ring traversal overlay
-	// share.
-	BlockedShare  float64
-	RingShare     float64
-	P50, P95, P99 int64
-}
-
-// HotspotResult holds the full study: rows per (algorithm, fault case,
-// load) plus the blocked-cycle congestion map of each algorithm on the
-// Figure 6 canned pattern at the knee load.
-type HotspotResult struct {
-	Algorithms []string
-	Cases      []string
-	Loads      []string
-	Rows       []HotspotRow
-
-	// Views maps algorithm -> the composite blocked-cycle link map of
-	// its Figure 6 knee-load run (the spatial picture behind that row).
-	Views map[string]*report.LinkView
-}
-
 // DefaultHotspotFaults are the random-fault cases of the hotspot study
 // (in addition to the canned Figure 6 pattern): 2%, 5% and 10% of the
 // paper's 10×10 mesh.
@@ -72,7 +31,17 @@ func (o Options) KneeRate() float64 {
 // (ratio > 1); past saturation blocking goes global while the busy
 // split keeps the rings on top — the spatial mechanism behind Figure
 // 6's load imbalance.
-func Hotspot(o Options, algorithms []string, faultCounts []int) (*HotspotResult, error) {
+//
+// One row per (algorithm, case, load), case "fig6" or the random fault
+// count, load "knee" (saturation onset) or "sat" (100% load). Columns:
+// the seed faults, on-/off-ring link counts, mean blocked cycles per
+// on-/off-ring link and their ratio, the busy-cycle ratio (utilization
+// imbalance, which survives past saturation while the blocked split
+// washes out), the shares of total message latency spent blocked and on
+// f-ring traversal in percent, and latency percentiles. Alongside come
+// the blocked-cycle link maps of each algorithm's Figure 6 knee run, in
+// algorithm order.
+func Hotspot(o Options, algorithms []string, faultCounts []int) (*report.Table, []*report.LinkView, error) {
 	if algorithms == nil {
 		algorithms = routing.AlgorithmNames
 	}
@@ -86,6 +55,7 @@ func Hotspot(o Options, algorithms []string, faultCounts []int) (*HotspotResult,
 	loads := []string{"knee", "sat"}
 	rates := []float64{o.KneeRate(), o.SaturatingRate()}
 	var points []sweep.Point
+	var labels [][]any
 	for _, alg := range algorithms {
 		for ci := range cases {
 			for li, load := range loads {
@@ -102,90 +72,51 @@ func Hotspot(o Options, algorithms []string, faultCounts []int) (*HotspotResult,
 					Key:    fmt.Sprintf("%s@%s/%s", alg, cases[ci], load),
 					Params: p,
 				})
+				labels = append(labels, []any{alg, cases[ci], load})
 			}
 		}
 	}
 	o.logf("hotspot: %d runs (%d algorithms × %d fault cases × %d loads, link telemetry on)",
 		len(points), len(algorithms), len(cases), len(loads))
-	outcomes := o.runSweep(points)
-	if err := sweep.FirstError(outcomes); err != nil {
-		return nil, err
+	cells, err := o.runCells(points)
+	if err != nil {
+		return nil, nil, err
 	}
-	res := &HotspotResult{
-		Algorithms: algorithms,
-		Cases:      cases,
-		Loads:      loads,
-		Views:      map[string]*report.LinkView{},
-	}
-	perAlg := len(cases) * len(loads)
-	for i, out := range outcomes {
-		alg := algorithms[i/perAlg]
-		c := cases[(i%perAlg)/len(loads)]
-		load := loads[i%len(loads)]
-		r := out.Result
-		blocked, err := r.RingSplit(sim.LinkBlocked)
-		if err != nil {
-			return nil, err
-		}
-		busy, err := r.RingSplit(sim.LinkBusy)
-		if err != nil {
-			return nil, err
-		}
-		st := r.Stats
-		row := HotspotRow{
-			Algorithm: alg,
-			Case:      c,
-			Load:      load,
-			Faults:    r.SeedFaults,
-			Blocked:   blocked,
-			Busy:      busy,
-			P50:       st.Percentile(50),
-			P95:       st.Percentile(95),
-			P99:       st.Percentile(99),
-		}
-		if st.LatencySum > 0 {
-			row.BlockedShare = float64(st.LatBlockedSum) / float64(st.LatencySum)
-			row.RingShare = float64(st.LatRingSum) / float64(st.LatencySum)
-		}
-		res.Rows = append(res.Rows, row)
-		if c == "fig6" && load == "knee" {
-			lv, err := r.LinkView(sim.LinkBlocked)
-			if err != nil {
-				return nil, err
-			}
-			lv.Title = fmt.Sprintf("%s: blocked cycles per link per cycle, Figure 6 pattern at knee load (X = faulty, o = f-ring node):", alg)
-			res.Views[alg] = lv
-			o.logf("  %-18s fig6@knee on/off-ring blocked %.1f/%.1f (ratio %.2f), busy ratio %.2f",
-				alg, blocked.OnRingMean, blocked.OffRingMean, blocked.Ratio(), busy.Ratio())
-		}
-	}
-	return res, nil
-}
-
-// Row returns the study row for (algorithm, case, load), or nil.
-func (r *HotspotResult) Row(alg, c, load string) *HotspotRow {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.Algorithm == alg && row.Case == c && row.Load == load {
-			return row
-		}
-	}
-	return nil
-}
-
-// Table renders the full study data.
-func (r *HotspotResult) Table() *report.Table {
 	t := report.NewTable("algorithm", "case", "load", "faults",
 		"ring_links", "other_links",
 		"onring_blocked_mean", "offring_blocked_mean", "blocked_ratio", "busy_ratio",
 		"blocked_share%", "ring_overlay_share%", "p50", "p95", "p99")
-	for _, row := range r.Rows {
-		t.AddRow(row.Algorithm, row.Case, row.Load, row.Faults,
-			row.Blocked.OnRingLinks, row.Blocked.OffRingLinks,
-			row.Blocked.OnRingMean, row.Blocked.OffRingMean,
-			row.Blocked.Ratio(), row.Busy.Ratio(),
-			100*row.BlockedShare, 100*row.RingShare,
-			row.P50, row.P95, row.P99)
+	var views []*report.LinkView
+	for i, reps := range cells {
+		r := reps[0].Result
+		blocked, err := r.RingSplit(sim.LinkBlocked)
+		if err != nil {
+			return nil, nil, err
+		}
+		busy, err := r.RingSplit(sim.LinkBusy)
+		if err != nil {
+			return nil, nil, err
+		}
+		st := r.Stats
+		var blockedShare, ringShare float64
+		if st.LatencySum > 0 {
+			blockedShare = float64(st.LatBlockedSum) / float64(st.LatencySum)
+			ringShare = float64(st.LatRingSum) / float64(st.LatencySum)
+		}
+		t.AddRow(append(labels[i], r.SeedFaults,
+			blocked.OnRingLinks, blocked.OffRingLinks,
+			blocked.OnRingMean, blocked.OffRingMean,
+			blocked.Ratio(), busy.Ratio(),
+			100*blockedShare, 100*ringShare,
+			st.Percentile(50), st.Percentile(95), st.Percentile(99))...)
+		if labels[i][1] == "fig6" && labels[i][2] == "knee" {
+			lv, err := r.LinkView(sim.LinkBlocked)
+			if err != nil {
+				return nil, nil, err
+			}
+			lv.Title = fmt.Sprintf("%s: blocked cycles per link per cycle, Figure 6 pattern at knee load (X = faulty, o = f-ring node):", labels[i][0])
+			views = append(views, lv)
+		}
 	}
-	return t
+	return t, views, nil
 }

@@ -17,7 +17,7 @@ func TestHotspotRingLocalization(t *testing.T) {
 	o.WarmupCycles = 1000
 	o.MeasureCycles = 4000
 	algs := []string{"Duato-Nbc", "Nbc"}
-	res, err := Hotspot(o, algs, []int{5})
+	res, views, err := Hotspot(o, algs, []int{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,17 +25,20 @@ func TestHotspotRingLocalization(t *testing.T) {
 	if len(res.Rows) != wantRows {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), wantRows)
 	}
-	for _, row := range res.Rows {
-		if row.Blocked.OnRingLinks == 0 || row.Blocked.OffRingLinks == 0 {
-			t.Errorf("%s@%s/%s: degenerate link split %d/%d",
-				row.Algorithm, row.Case, row.Load, row.Blocked.OnRingLinks, row.Blocked.OffRingLinks)
+	onLinks, offLinks := res.Floats("ring_links"), res.Floats("other_links")
+	p50, p99 := res.Floats("p50"), res.Floats("p99")
+	blockedShare := res.Floats("blocked_share%")
+	for i, row := range res.Rows {
+		if onLinks[i] == 0 || offLinks[i] == 0 {
+			t.Errorf("%s@%s/%s: degenerate link split %v/%v",
+				row[0], row[1], row[2], onLinks[i], offLinks[i])
 		}
-		if row.P50 > row.P99 {
-			t.Errorf("%s@%s/%s: p50 %d > p99 %d", row.Algorithm, row.Case, row.Load, row.P50, row.P99)
+		if p50[i] > p99[i] {
+			t.Errorf("%s@%s/%s: p50 %v > p99 %v", row[0], row[1], row[2], p50[i], p99[i])
 		}
-		if row.BlockedShare < 0 || row.BlockedShare > 1 {
+		if share := blockedShare[i] / 100; share < 0 || share > 1 {
 			t.Errorf("%s@%s/%s: blocked share %v outside [0,1]",
-				row.Algorithm, row.Case, row.Load, row.BlockedShare)
+				row[0], row[1], row[2], share)
 		}
 	}
 
@@ -43,11 +46,11 @@ func TestHotspotRingLocalization(t *testing.T) {
 	// for at least one BC-fortified algorithm.
 	localized := false
 	for _, alg := range algs {
-		row := res.Row(alg, "fig6", "knee")
-		if row == nil {
+		ratio := res.Floats("blocked_ratio", "algorithm", alg, "case", "fig6", "load", "knee")
+		if len(ratio) == 0 {
 			t.Fatalf("missing fig6/knee row for %s", alg)
 		}
-		if r := row.Blocked.Ratio(); r > 1 {
+		if r := ratio[0]; r > 1 {
 			localized = true
 			t.Logf("%s: fig6@knee blocked ratio %.2f", alg, r)
 		}
@@ -57,26 +60,21 @@ func TestHotspotRingLocalization(t *testing.T) {
 	}
 
 	// Each algorithm's fig6 knee view renders and marks the fault block.
-	for _, alg := range algs {
-		lv, ok := res.Views[alg]
-		if !ok {
-			t.Fatalf("no fig6 knee view for %s", alg)
-		}
+	if len(views) != len(algs) {
+		t.Fatalf("%d fig6 knee views, want one per algorithm", len(views))
+	}
+	for i, lv := range views {
 		var sb strings.Builder
 		if err := lv.Write(&sb); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(sb.String(), "X") {
-			t.Errorf("%s view does not mark faulty nodes", alg)
+			t.Errorf("%s view does not mark faulty nodes", algs[i])
 		}
 	}
 
-	tab := res.Table()
-	if len(tab.Rows) != wantRows {
-		t.Errorf("table rows = %d, want %d", len(tab.Rows), wantRows)
-	}
 	var sb strings.Builder
-	if err := tab.WriteCSV(&sb); err != nil {
+	if err := res.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "blocked_ratio") {

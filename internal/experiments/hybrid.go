@@ -1,37 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"wormmesh/internal/report"
 	"wormmesh/internal/routing"
 	"wormmesh/internal/sweep"
 )
-
-// HybridTrafficSweepResult is a TrafficSweepResult whose cells carry
-// provenance: some were simulated flit by flit, the rest filled by the
-// calibrated analytic surrogate. The embedded curves plot with the
-// same charts as a full sweep.
-type HybridTrafficSweepResult struct {
-	TrafficSweepResult
-	// Faults is the random-fault count shared by every curve (0 for
-	// the paper's fault-free Figures 1 and 2).
-	Faults int
-	// Source[alg][i] is sweep.SourceSimulated or sweep.SourceModel for
-	// the cell at Rates[i].
-	Source map[string][]string
-	// Gamma and Knee are each curve's fitted contention gain and the
-	// surrogate's predicted saturation rate; BracketLo/Hi the simulated
-	// rate window.
-	Gamma     map[string]float64
-	Knee      map[string]float64
-	BracketLo map[string]float64
-	BracketHi map[string]float64
-	// SimulatedPoints counts simulations actually run across all
-	// curves; TotalPoints the full grid a non-hybrid sweep would run.
-	SimulatedPoints int
-	TotalPoints     int
-}
 
 // HybridTrafficSweep is TrafficSweep with the analytic surrogate
 // screening the load axis: per algorithm it predicts the saturation
@@ -45,7 +18,13 @@ type HybridTrafficSweepResult struct {
 // outside the BC fortification — fail up front with an error
 // satisfying errors.Is(err, analytic.ErrUnsupported); nothing is
 // simulated.
-func HybridTrafficSweep(o Options, algorithms []string, rates []float64, faults int, radius float64) (*HybridTrafficSweepResult, error) {
+//
+// The data table is TrafficSweep's plus a source column holding
+// sweep.SourceSimulated or sweep.SourceModel per cell; the summary
+// table gives each curve's screening: the knee the surrogate predicted,
+// the simulated rate bracket, the simulated and total point counts and
+// the fitted contention gain γ.
+func HybridTrafficSweep(o Options, algorithms []string, rates []float64, faults int, radius float64) (data, summary *report.Table, err error) {
 	if rates == nil {
 		rates = DefaultRates()
 	}
@@ -58,7 +37,7 @@ func HybridTrafficSweep(o Options, algorithms []string, rates []float64, faults 
 		p.Algorithm = alg
 		p.Faults = faults
 		if err := sweep.HybridSupported(p); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		curves = append(curves, sweep.HybridCurve{Key: alg, Base: p, Rates: rates})
 	}
@@ -75,85 +54,15 @@ func HybridTrafficSweep(o Options, algorithms []string, rates []float64, faults 
 	}
 	hres, err := sweep.HybridSweep(curves, hopt)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res := &HybridTrafficSweepResult{
-		TrafficSweepResult: TrafficSweepResult{
-			Rates:      rates,
-			Algorithms: algorithms,
-			Normalized: map[string][]float64{},
-			Accepted:   map[string][]float64{},
-			Latency:    map[string][]float64{},
-		},
-		Faults:      faults,
-		Source:      map[string][]string{},
-		Gamma:       map[string]float64{},
-		Knee:        map[string]float64{},
-		BracketLo:   map[string]float64{},
-		BracketHi:   map[string]float64{},
-		TotalPoints: len(algorithms) * len(rates),
-	}
+	data = report.NewTable("algorithm", "rate", "accepted_flits", "normalized_thr", "latency_cycles", "source")
+	summary = report.NewTable("algorithm", "model_knee", "bracket_lo", "bracket_hi", "simulated", "total", "gamma")
 	for _, hc := range hres {
-		norm := make([]float64, len(rates))
-		acc := make([]float64, len(rates))
-		lat := make([]float64, len(rates))
-		src := make([]string, len(rates))
-		for i, hp := range hc.Points {
-			norm[i] = hp.Normalized
-			acc[i] = hp.Accepted
-			lat[i] = hp.Latency
-			src[i] = hp.Source
+		for _, hp := range hc.Points {
+			data.AddRow(hc.Key, hp.Rate, hp.Accepted, hp.Normalized, hp.Latency, hp.Source)
 		}
-		res.Normalized[hc.Key] = norm
-		res.Accepted[hc.Key] = acc
-		res.Latency[hc.Key] = lat
-		res.Source[hc.Key] = src
-		res.Gamma[hc.Key] = hc.Gamma
-		res.Knee[hc.Key] = hc.Knee
-		res.BracketLo[hc.Key] = hc.BracketLo
-		res.BracketHi[hc.Key] = hc.BracketHi
-		res.SimulatedPoints += hc.Simulated
-		o.logf("  %-18s knee %.4f, simulated %d/%d points in [%.4f, %.4f], gamma %.2f",
-			hc.Key, hc.Knee, hc.Simulated, len(rates), hc.BracketLo, hc.BracketHi, hc.Gamma)
+		summary.AddRow(hc.Key, hc.Knee, hc.BracketLo, hc.BracketHi, hc.Simulated, len(rates), hc.Gamma)
 	}
-	return res, nil
-}
-
-// Table renders the raw series with a provenance column per cell.
-func (r *HybridTrafficSweepResult) Table() *report.Table {
-	t := report.NewTable("algorithm", "rate", "accepted_flits", "normalized_thr", "latency_cycles", "source")
-	for _, alg := range r.Algorithms {
-		for i, rate := range r.Rates {
-			t.AddRow(alg, rate, r.Accepted[alg][i], r.Normalized[alg][i], r.Latency[alg][i], r.Source[alg][i])
-		}
-	}
-	return t
-}
-
-// SummaryTable renders the per-curve screening outcome: the knee the
-// surrogate predicted, the simulated bracket, and the fitted γ.
-func (r *HybridTrafficSweepResult) SummaryTable() *report.Table {
-	t := report.NewTable("algorithm", "model_knee", "bracket_lo", "bracket_hi", "simulated", "total", "gamma")
-	for _, alg := range r.Algorithms {
-		sim := 0
-		for _, s := range r.Source[alg] {
-			if s == sweep.SourceSimulated {
-				sim++
-			}
-		}
-		t.AddRow(alg, r.Knee[alg], r.BracketLo[alg], r.BracketHi[alg], sim, len(r.Rates), r.Gamma[alg])
-	}
-	return t
-}
-
-// Provenance flattens per-cell sources for run manifests: one
-// "alg@rate" → source entry per cell.
-func (r *HybridTrafficSweepResult) Provenance() map[string]string {
-	out := make(map[string]string, r.TotalPoints)
-	for _, alg := range r.Algorithms {
-		for i, rate := range r.Rates {
-			out[fmt.Sprintf("%s@%g", alg, rate)] = r.Source[alg][i]
-		}
-	}
-	return out
+	return data, summary, nil
 }

@@ -9,36 +9,18 @@ import (
 	"wormmesh/internal/topology"
 )
 
-// TopologyRow is one measured cell of the mesh-vs-torus study.
-type TopologyRow struct {
-	Algorithm string
-	Kind      string // "mesh" or "torus"
-	Faults    int
-	Latency   float64
-	Thr       float64 // flits/node/cycle
-	Norm      float64 // fraction of the topology's own bisection capacity
-	Detour    float64
-	Killed    float64 // killed fraction of generated messages
-}
-
-// TopologyResult compares the mesh and torus backends head-to-head:
+// TopologyCompare compares the mesh and torus backends head-to-head:
 // the torus-enabled algorithm roster run on both topologies at the
-// same dimensions, offered load, and fault budget. Raw throughput is
-// not directly comparable across kinds (the wrap links double the
-// bisection), so Norm reports each run against its own topology's
-// capacity via Result.NormalizedThroughput.
-type TopologyResult struct {
-	Algorithms []string
-	Rows       []TopologyRow
-}
-
-// TopologyCompare runs the study. The algorithm set is intersected
-// with the torus roster for the options' dimensions (mesh-only
-// fortifications have nothing to compare); nil selects the whole
-// roster. Each algorithm runs fault-free and with 5% node faults on
-// both kinds, at 0.1 flits/node/cycle offered — below either
-// topology's saturation, so latencies compare.
-func TopologyCompare(o Options, algorithms []string) (*TopologyResult, error) {
+// same dimensions, offered load, and fault budget. The algorithm set is
+// intersected with the torus roster for the options' dimensions
+// (mesh-only fortifications have nothing to compare); nil selects the
+// whole roster. Each algorithm runs fault-free and with 5% node faults
+// on both kinds, at 0.1 flits/node/cycle offered — below either
+// topology's saturation, so latencies compare. One row per (algorithm,
+// topology, faults). Raw throughput is not directly comparable across
+// kinds (the wrap links double the bisection), so the normalized column
+// reports each run against its own topology's capacity.
+func TopologyCompare(o Options, algorithms []string) (*report.Table, error) {
 	torus := topology.NewTorus(o.Width, o.Height)
 	roster := routing.TorusAlgorithmNames(torus)
 	if algorithms == nil {
@@ -86,52 +68,16 @@ func TopologyCompare(o Options, algorithms []string) (*TopologyResult, error) {
 	}
 	o.logf("topology study: %d runs (%d algorithms x %v x faults %v)",
 		len(points), len(algorithms), kinds, faults)
-	outcomes := o.runSweep(points)
-	if err := sweep.FirstError(outcomes); err != nil {
+	cells, err := o.runCells(points)
+	if err != nil {
 		return nil, err
 	}
-	res := &TopologyResult{Algorithms: algorithms}
-	for i, pt := range points {
-		r := outcomes[i].Result
-		st := r.Stats
-		killed := 0.0
-		if st.Generated > 0 {
-			killed = float64(st.Killed) / float64(st.Generated)
-		}
-		res.Rows = append(res.Rows, TopologyRow{
-			Algorithm: pt.Params.Algorithm,
-			Kind:      pt.Params.Topology,
-			Faults:    pt.Params.Faults,
-			Latency:   st.AvgLatency(),
-			Thr:       st.Throughput(),
-			Norm:      r.NormalizedThroughput(),
-			Detour:    st.AvgDetour(),
-			Killed:    killed,
-		})
-	}
-	for _, alg := range algorithms {
-		var mesh0, torus0 float64
-		for _, row := range res.Rows {
-			if row.Algorithm == alg && row.Faults == 0 {
-				if row.Kind == "mesh" {
-					mesh0 = row.Latency
-				} else {
-					torus0 = row.Latency
-				}
-			}
-		}
-		o.logf("  %-18s fault-free latency mesh %.1f vs torus %.1f", alg, mesh0, torus0)
-	}
-	return res, nil
-}
-
-// Table renders the study.
-func (r *TopologyResult) Table() *report.Table {
 	t := report.NewTable("algorithm", "topology", "faults", "latency",
 		"throughput", "normalized", "detour", "killed")
-	for _, row := range r.Rows {
-		t.AddRow(row.Algorithm, row.Kind, row.Faults, row.Latency,
-			row.Thr, row.Norm, row.Detour, row.Killed)
+	for _, reps := range cells {
+		p, r := reps[0].Point.Params, reps[0].Result
+		t.AddRow(p.Algorithm, p.Topology, p.Faults, r.Stats.AvgLatency(),
+			r.Stats.Throughput(), r.NormalizedThroughput(), r.Stats.AvgDetour(), killedFraction(r.Stats))
 	}
-	return t
+	return t, nil
 }

@@ -12,20 +12,25 @@ func TestTopologyComparePlumbing(t *testing.T) {
 	}
 	// Minimal-Adaptive is mesh-only and must be filtered out, leaving
 	// Duato alone: 2 kinds x 2 fault counts = 4 rows.
-	if len(res.Algorithms) != 1 || res.Algorithms[0] != "Duato" {
-		t.Fatalf("algorithms = %v, want [Duato]", res.Algorithms)
+	algorithms := map[any]bool{}
+	for _, row := range res.Rows {
+		algorithms[row[0]] = true
+	}
+	if len(algorithms) != 1 || !algorithms["Duato"] {
+		t.Fatalf("algorithms = %v, want [Duato]", algorithms)
 	}
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(res.Rows))
 	}
-	kinds := map[string]int{}
-	for _, row := range res.Rows {
-		kinds[row.Kind]++
-		if row.Latency <= 0 {
-			t.Errorf("%s/%s: nonpositive latency %v", row.Algorithm, row.Kind, row.Latency)
+	kinds := map[any]int{}
+	latency, norm := res.Floats("latency"), res.Floats("normalized")
+	for i, row := range res.Rows {
+		kinds[row[1]]++
+		if latency[i] <= 0 {
+			t.Errorf("%s/%s: nonpositive latency %v", row[0], row[1], latency[i])
 		}
-		if row.Norm <= 0 || row.Norm > 1 {
-			t.Errorf("%s/%s: normalized throughput %v outside (0,1]", row.Algorithm, row.Kind, row.Norm)
+		if norm[i] <= 0 || norm[i] > 1 {
+			t.Errorf("%s/%s: normalized throughput %v outside (0,1]", row[0], row[1], norm[i])
 		}
 	}
 	if kinds["mesh"] != 2 || kinds["torus"] != 2 {
@@ -34,22 +39,10 @@ func TestTopologyComparePlumbing(t *testing.T) {
 	// Same offered load on the same dimensions: the torus's doubled
 	// bisection means its normalized throughput must come out below the
 	// mesh's on the fault-free runs.
-	var meshNorm, torusNorm float64
-	for _, row := range res.Rows {
-		if row.Faults != 0 {
-			continue
-		}
-		if row.Kind == "mesh" {
-			meshNorm = row.Norm
-		} else {
-			torusNorm = row.Norm
-		}
-	}
+	meshNorm := res.Float("normalized", "topology", "mesh", "faults", 0)
+	torusNorm := res.Float("normalized", "topology", "torus", "faults", 0)
 	if torusNorm >= meshNorm {
 		t.Errorf("fault-free normalized throughput torus %v >= mesh %v", torusNorm, meshNorm)
-	}
-	if tbl := res.Table(); len(tbl.Rows) != 4 {
-		t.Errorf("table rows = %d, want 4", len(tbl.Rows))
 	}
 
 	if _, err := TopologyCompare(o, []string{"Minimal-Adaptive"}); err == nil {

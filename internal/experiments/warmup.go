@@ -8,32 +8,6 @@ import (
 	"wormmesh/internal/sweep"
 )
 
-// WarmupRow is one cell of the warm-up sensitivity study: one offered
-// load measured under one truncation policy.
-type WarmupRow struct {
-	Rate    float64
-	Variant string // "fixed-<fraction>" or "mser"
-	// Budget is the warm-up ceiling the run was given; Effective is what
-	// it actually discarded (equal for fixed variants, the detected
-	// truncation point for mser).
-	Budget     int64
-	Effective  int64
-	Latency    float64
-	Throughput float64
-	// LatencyBiasPct is the latency deviation from the same rate's
-	// full-budget fixed reference, in percent — the initialization bias
-	// that truncating less warm-up leaves in the measurement.
-	LatencyBiasPct float64
-}
-
-// WarmupResult is the full study: per (rate × policy) rows over one
-// algorithm and fault case.
-type WarmupResult struct {
-	Algorithm string
-	Faults    int
-	Rows      []WarmupRow
-}
-
 // DefaultWarmupFractions are the fixed-truncation ladder of the study,
 // as fractions of the configured warm-up budget. 1 is the reference
 // every bias is measured against.
@@ -47,7 +21,13 @@ var DefaultWarmupFractions = []float64{0, 0.25, 1}
 // skipping warm-up leave at each load, and does the detected truncation
 // point reach the reference's measurement unbiased while discarding
 // fewer cycles.
-func Warmup(o Options, algorithm string, faults int, kneeFractions []float64) (*WarmupResult, error) {
+//
+// One row per (rate, policy), policy "fixed-<fraction>" or "mser":
+// the warm-up budget the run was given, the warm-up it actually
+// discarded (the detected truncation point for mser), latency, the
+// latency bias in percent against the same rate's full-budget fixed
+// reference, and throughput.
+func Warmup(o Options, algorithm string, faults int, kneeFractions []float64) (*report.Table, error) {
 	if algorithm == "" {
 		algorithm = "Duato-Nbc"
 	}
@@ -56,7 +36,7 @@ func Warmup(o Options, algorithm string, faults int, kneeFractions []float64) (*
 	}
 	knee := o.KneeRate()
 	var points []sweep.Point
-	var rows []WarmupRow
+	var labels [][]any
 	add := func(rate float64, variant string, mut func(*sim.Params)) {
 		p := o.baseParams()
 		p.Algorithm = algorithm
@@ -67,7 +47,7 @@ func Warmup(o Options, algorithm string, faults int, kneeFractions []float64) (*
 			Key:    fmt.Sprintf("%s@%g/%s", algorithm, rate, variant),
 			Params: p,
 		})
-		rows = append(rows, WarmupRow{Rate: rate, Variant: variant, Budget: p.WarmupCycles})
+		labels = append(labels, []any{rate, variant, p.WarmupCycles})
 	}
 	for _, kf := range kneeFractions {
 		rate := kf * knee
@@ -90,44 +70,22 @@ func Warmup(o Options, algorithm string, faults int, kneeFractions []float64) (*
 	}
 	o.logf("warmup: %d runs (%s, %d faults, %d loads × %d policies)",
 		len(points), algorithm, faults, len(kneeFractions), len(DefaultWarmupFractions)+1)
-	outcomes := o.runSweep(points)
-	if err := sweep.FirstError(outcomes); err != nil {
+	cells, err := o.runCells(points)
+	if err != nil {
 		return nil, err
 	}
-	res := &WarmupResult{Algorithm: algorithm, Faults: faults, Rows: rows}
-	for i, out := range outcomes {
-		st := out.Result.Stats
-		row := &res.Rows[i]
-		row.Effective = st.EffectiveWarmup
-		row.Latency = st.AvgLatency()
-		row.Throughput = st.Throughput()
-	}
-	// Bias against each rate's full-budget fixed reference.
-	perRate := len(DefaultWarmupFractions) + 1
-	refVariant := fmt.Sprintf("fixed-%g", DefaultWarmupFractions[len(DefaultWarmupFractions)-1])
-	for base := 0; base < len(res.Rows); base += perRate {
-		var ref float64
-		for i := base; i < base+perRate; i++ {
-			if res.Rows[i].Variant == refVariant {
-				ref = res.Rows[i].Latency
-			}
-		}
-		for i := base; i < base+perRate; i++ {
-			if ref > 0 {
-				res.Rows[i].LatencyBiasPct = 100 * (res.Rows[i].Latency - ref) / ref
-			}
-		}
-	}
-	return res, nil
-}
-
-// Table renders the study data.
-func (r *WarmupResult) Table() *report.Table {
 	t := report.NewTable("rate", "policy", "warmup_budget", "effective_warmup",
 		"latency_cycles", "latency_bias%", "throughput")
-	for _, row := range r.Rows {
-		t.AddRow(row.Rate, row.Variant, row.Budget, row.Effective,
-			row.Latency, row.LatencyBiasPct, row.Throughput)
+	for i, reps := range cells {
+		st := reps[0].Result.Stats
+		t.AddRow(append(labels[i], st.EffectiveWarmup, st.AvgLatency(), 0.0, st.Throughput())...)
 	}
-	return t
+	// Bias against each rate's full-budget fixed reference.
+	refPolicy := fmt.Sprintf("fixed-%g", DefaultWarmupFractions[len(DefaultWarmupFractions)-1])
+	for _, row := range t.Rows {
+		if ref := t.Float("latency_cycles", "rate", row[0], "policy", refPolicy); ref > 0 {
+			row[5] = 100 * (row[4].(float64) - ref) / ref
+		}
+	}
+	return t, nil
 }

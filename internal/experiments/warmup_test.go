@@ -21,27 +21,26 @@ func TestWarmupStudy(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), 2*perRate)
 	}
 	for _, row := range res.Rows {
-		if row.Latency <= 0 {
-			t.Errorf("%s@%g: latency %g not positive", row.Variant, row.Rate, row.Latency)
+		rate, variant := row[0], row[1].(string)
+		budget, effective := row[2].(int64), row[3].(int64)
+		latency, bias := row[4].(float64), row[5].(float64)
+		if latency <= 0 {
+			t.Errorf("%s@%g: latency %g not positive", variant, rate, latency)
 		}
 		switch {
-		case row.Variant == "mser":
-			if row.Effective > row.Budget {
-				t.Errorf("mser@%g: effective warm-up %d exceeds budget %d", row.Rate, row.Effective, row.Budget)
+		case variant == "mser":
+			if effective > budget {
+				t.Errorf("mser@%g: effective warm-up %d exceeds budget %d", rate, effective, budget)
 			}
-		case strings.HasPrefix(row.Variant, "fixed-"):
-			if row.Effective != row.Budget {
-				t.Errorf("%s@%g: effective %d != budget %d", row.Variant, row.Rate, row.Effective, row.Budget)
+		case strings.HasPrefix(variant, "fixed-"):
+			if effective != budget {
+				t.Errorf("%s@%g: effective %d != budget %d", variant, rate, effective, budget)
 			}
 		default:
-			t.Errorf("unknown variant %q", row.Variant)
+			t.Errorf("unknown variant %q", variant)
 		}
-		if row.Variant == "fixed-1" && row.LatencyBiasPct != 0 {
-			t.Errorf("reference variant bias = %g%%, want 0", row.LatencyBiasPct)
+		if variant == "fixed-1" && bias != 0 {
+			t.Errorf("reference variant bias = %g%%, want 0", bias)
 		}
-	}
-	tab := res.Table()
-	if tab == nil {
-		t.Fatal("nil table")
 	}
 }

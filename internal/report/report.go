@@ -10,27 +10,88 @@ import (
 	"strings"
 )
 
-// Table is a simple aligned-column text table.
+// Table is an aligned-column table whose cells keep their typed
+// values (float64, int, string, ...), so callers read numbers back
+// from it; cells are formatted only when written.
 type Table struct {
 	Header []string
-	Rows   [][]string
+	Rows   [][]any
 }
 
 // NewTable starts a table with the given column headers.
 func NewTable(header ...string) *Table { return &Table{Header: header} }
 
-// AddRow appends a row; cells are formatted with %v.
-func (t *Table) AddRow(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = FormatFloat(v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
+// AddRow appends a row of cell values.
+func (t *Table) AddRow(cells ...any) { t.Rows = append(t.Rows, cells) }
+
+// col returns the index of the named column, or -1.
+func (t *Table) col(name string) int {
+	for i, h := range t.Header {
+		if h == name {
+			return i
 		}
 	}
-	t.Rows = append(t.Rows, row)
+	return -1
+}
+
+// Floats returns column col as float64s over the rows matching every
+// (column, value) pair in where, in row order.
+func (t *Table) Floats(col string, where ...any) []float64 {
+	c := t.col(col)
+	var out []float64
+rows:
+	for _, row := range t.Rows {
+		for i := 0; i+1 < len(where); i += 2 {
+			if row[t.col(where[i].(string))] != where[i+1] {
+				continue rows
+			}
+		}
+		out = append(out, toFloat(row[c]))
+	}
+	return out
+}
+
+// Float is the first of Floats, or NaN when no row matches.
+func (t *Table) Float(col string, where ...any) float64 {
+	if v := t.Floats(col, where...); len(v) > 0 {
+		return v[0]
+	}
+	return math.NaN()
+}
+
+// LineChart draws column y against column x, one series per distinct
+// value of column key in first-seen order.
+func (t *Table) LineChart(title, xLabel, key, x, y string) *LineChart {
+	c := &LineChart{Title: title, XLabel: xLabel}
+	seen := map[any]bool{}
+	for _, row := range t.Rows {
+		if k := row[t.col(key)]; !seen[k] {
+			seen[k] = true
+			c.Add(Series{Name: fmt.Sprint(k), X: t.Floats(x, key, k), Y: t.Floats(y, key, k)})
+		}
+	}
+	return c
+}
+
+func toFloat(v any) float64 {
+	switch n := v.(type) {
+	case float64:
+		return n
+	case int:
+		return float64(n)
+	case int64:
+		return float64(n)
+	}
+	return math.NaN()
+}
+
+// formatCell renders one cell: floats through FormatFloat, anything
+// else with %v.
+func formatCell(v any) string {
+	if f, ok := v.(float64); ok {
+		return FormatFloat(f)
+	}
+	return fmt.Sprintf("%v", v)
 }
 
 // FormatFloat renders a float compactly (4 significant decimals, NaN
@@ -51,7 +112,8 @@ func (t *Table) Write(w io.Writer) error {
 	for i, h := range t.Header {
 		widths[i] = len(h)
 	}
-	for _, row := range t.Rows {
+	rows := t.formatted()
+	for _, row := range rows {
 		for i, c := range row {
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
@@ -83,12 +145,23 @@ func (t *Table) Write(w io.Writer) error {
 	if err := line(rule); err != nil {
 		return err
 	}
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		if err := line(row); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func (t *Table) formatted() [][]string {
+	rows := make([][]string, len(t.Rows))
+	for i, row := range t.Rows {
+		rows[i] = make([]string, len(row))
+		for j, c := range row {
+			rows[i][j] = formatCell(c)
+		}
+	}
+	return rows
 }
 
 // WriteCSV renders the table as CSV (no quoting needed for the
@@ -106,7 +179,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	if err := row(t.Header); err != nil {
 		return err
 	}
-	for _, r := range t.Rows {
+	for _, r := range t.formatted() {
 		if err := row(r); err != nil {
 			return err
 		}

@@ -44,6 +44,38 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
+func TestTableTypedCells(t *testing.T) {
+	tab := NewTable("alg", "pct", "thr")
+	tab.AddRow("a", 0, 0.5)
+	tab.AddRow("a", 10, 0.25)
+	tab.AddRow("b", 0, 0.75)
+	if got := tab.Floats("thr", "alg", "a"); len(got) != 2 || got[0] != 0.5 || got[1] != 0.25 {
+		t.Errorf("Floats(thr, alg=a) = %v", got)
+	}
+	if got := tab.Floats("pct"); len(got) != 3 || got[1] != 10 {
+		t.Errorf("int column read as %v", got)
+	}
+	if got := tab.Float("thr", "alg", "b", "pct", 0); got != 0.75 {
+		t.Errorf("Float(thr, alg=b, pct=0) = %v", got)
+	}
+	if got := tab.Float("thr", "alg", "c"); !math.IsNaN(got) {
+		t.Errorf("no-match Float = %v, want NaN", got)
+	}
+	c := tab.LineChart("title", "pct", "alg", "pct", "thr")
+	if len(c.Series) != 2 || c.Series[0].Name != "a" || c.Series[1].Name != "b" ||
+		len(c.Series[0].X) != 2 || c.Series[0].X[1] != 10 || c.Series[1].Y[0] != 0.75 {
+		t.Errorf("LineChart series = %+v", c.Series)
+	}
+	// Cells format only when written.
+	var sb strings.Builder
+	if err := tab.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := "alg,pct,thr\na,0,0.5000\na,10,0.2500\nb,0,0.7500\n"; sb.String() != want {
+		t.Errorf("CSV = %q, want %q", sb.String(), want)
+	}
+}
+
 func TestFormatFloat(t *testing.T) {
 	cases := map[float64]string{
 		1.23456: "1.2346",

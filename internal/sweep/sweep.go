@@ -242,32 +242,6 @@ func FaultReplicas(key string, base sim.Params, n int) []Point {
 	return pts
 }
 
-// SaturationSearch finds the saturation throughput of a configuration:
-// it doubles the offered rate until accepted throughput stops
-// improving by more than tol (relative), then returns the best
-// accepted throughput observed. It runs at most maxRuns simulations.
-func SaturationSearch(base sim.Params, startRate float64, tol float64, maxRuns int) (rate, throughput float64, err error) {
-	best := 0.0
-	bestRate := startRate
-	r := startRate
-	for i := 0; i < maxRuns; i++ {
-		p := base
-		p.Rate = r
-		res, e := sim.Run(p)
-		if e != nil {
-			return 0, 0, e
-		}
-		thr := res.Stats.Throughput()
-		if thr > best*(1+tol) {
-			best, bestRate = thr, r
-			r *= 2
-			continue
-		}
-		break
-	}
-	return bestRate, best, nil
-}
-
 // SortCells orders cells by key (for deterministic test output).
 func SortCells(cells []Cell) {
 	sort.Slice(cells, func(i, j int) bool { return cells[i].Key < cells[j].Key })

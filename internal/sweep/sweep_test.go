@@ -180,25 +180,6 @@ func TestFaultReplicasVarySeeds(t *testing.T) {
 	}
 }
 
-func TestSaturationSearch(t *testing.T) {
-	base := quickParams("Duato", 0, 0)
-	rate, thr, err := SaturationSearch(base, 0.0005, 0.05, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if thr <= 0 {
-		t.Fatalf("throughput = %v", thr)
-	}
-	if rate < 0.0005 {
-		t.Fatalf("rate = %v", rate)
-	}
-	// Saturation throughput must be near the bisection bound, well
-	// below the offered load at the final rate.
-	if thr > 0.4 {
-		t.Errorf("throughput %v exceeds 10x10 bisection capacity 0.4", thr)
-	}
-}
-
 func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: nothing should run

@@ -5,6 +5,7 @@ import (
 
 	"wormmesh"
 	"wormmesh/internal/experiments"
+	"wormmesh/internal/report"
 )
 
 // The shape tests check the paper's qualitative findings at a reduced
@@ -18,6 +19,18 @@ func shapeOptions() experiments.Options {
 	o.MeasureCycles = 6000
 	o.FaultSets = 4
 	return o
+}
+
+// peakThroughput is an algorithm's best normalized throughput across a
+// TrafficSweep table.
+func peakThroughput(res *report.Table, alg string) float64 {
+	best := 0.0
+	for _, v := range res.Floats("normalized_thr", "algorithm", alg) {
+		if v > best {
+			best = v
+		}
+	}
+	return best
 }
 
 // TestShapeRestrictedVCChoiceHurts reproduces Figure 1's core finding:
@@ -34,9 +47,9 @@ func TestShapeRestrictedVCChoiceHurts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phop := res.PeakThroughput("PHop")
+	phop := peakThroughput(res, "PHop")
 	for _, better := range []string{"NHop", "Duato-Nbc", "Minimal-Adaptive"} {
-		if peak := res.PeakThroughput(better); peak < phop*0.98 {
+		if peak := peakThroughput(res, better); peak < phop*0.98 {
 			t.Errorf("%s peak %.3f below PHop %.3f — paper expects PHop at the bottom", better, peak, phop)
 		}
 	}
@@ -56,11 +69,11 @@ func TestShapeThroughputDegradesWithFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alg := range algs {
-		thr := res.Throughput[alg]
+		thr := res.Floats("norm_throughput", "algorithm", alg)
 		if thr[1] >= thr[0] {
 			t.Errorf("%s: throughput rose with 10%% faults: %.3f -> %.3f", alg, thr[0], thr[1])
 		}
-		lat := res.Latency[alg]
+		lat := res.Floats("latency", "algorithm", alg)
 		if lat[1] <= lat[0]*0.9 {
 			t.Errorf("%s: latency improved with faults: %.0f -> %.0f", alg, lat[0], lat[1])
 		}
@@ -79,14 +92,15 @@ func TestShapeDuatoNbcBeatsPHopUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phop := res.Throughput["PHop"][0]
-	if res.Throughput["Duato-Nbc"][0] <= phop {
+	thr := func(alg string) float64 { return res.Float("norm_throughput", "algorithm", alg) }
+	phop := thr("PHop")
+	if thr("Duato-Nbc") <= phop {
 		t.Errorf("Duato-Nbc %.3f not above PHop %.3f at 10%% faults",
-			res.Throughput["Duato-Nbc"][0], phop)
+			thr("Duato-Nbc"), phop)
 	}
-	if res.Throughput["Duato-Pbc"][0] <= phop {
+	if thr("Duato-Pbc") <= phop {
 		t.Errorf("Duato-Pbc %.3f not above PHop %.3f at 10%% faults",
-			res.Throughput["Duato-Pbc"][0], phop)
+			thr("Duato-Pbc"), phop)
 	}
 }
 
@@ -104,12 +118,12 @@ func TestShapeVCUsagePatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pi, di := res.Imbalance("PHop"), res.Imbalance("Duato"); pi <= di {
+	if pi, di := experiments.Imbalance(res.Floats("PHop")), experiments.Imbalance(res.Floats("Duato")); pi <= di {
 		t.Errorf("PHop imbalance %.2f not above Duato %.2f", pi, di)
 	}
 	// PHop's first class channel must be its hottest: every message
 	// starts at class 0.
-	phop := res.Utilization["PHop"]
+	phop := res.Floats("PHop")
 	hottest := 0
 	for v := range phop {
 		if phop[v] > phop[hottest] {
@@ -135,18 +149,20 @@ func TestShapeRingHotspotsUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range res.Algorithms {
-		free := res.FaultFree[alg]
-		faulty := res.Faulty[alg]
+	for _, alg := range []string{"PHop", "Pbc", "Duato-Nbc"} {
+		// The table holds shares in percent.
+		share := func(col, c string) float64 { return res.Float(col, "algorithm", alg, "case", c) / 100 }
+		freeRing, freeOther := share("ring_share%", "0%"), share("other_share%", "0%")
+		faultyOther := share("other_share%", "faulty")
 		// Fault-free: the two groups are within 35 points of each
 		// other (the paper shows them nearly equal).
-		if diff := free.RingShare - free.OtherShare; diff > 0.35 || diff < -0.35 {
+		if diff := freeRing - freeOther; diff > 0.35 || diff < -0.35 {
 			t.Errorf("%s fault-free groups differ by %.2f", alg, diff)
 		}
 		// Under faults the overall distribution flattens less: the
 		// mean/peak shares drop (peak grows faster than the mean).
-		if faulty.OtherShare >= free.OtherShare*1.15 {
-			t.Errorf("%s: faults flattened the load (%.2f -> %.2f)", alg, free.OtherShare, faulty.OtherShare)
+		if faultyOther >= freeOther*1.15 {
+			t.Errorf("%s: faults flattened the load (%.2f -> %.2f)", alg, freeOther, faultyOther)
 		}
 	}
 }
@@ -162,10 +178,10 @@ func TestShapeBonusCardsNeverHurtMuch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pbc, phop := res.PeakThroughput("Pbc"), res.PeakThroughput("PHop"); pbc < phop*0.9 {
+	if pbc, phop := peakThroughput(res, "Pbc"), peakThroughput(res, "PHop"); pbc < phop*0.9 {
 		t.Errorf("Pbc peak %.3f well below PHop %.3f", pbc, phop)
 	}
-	if nbc, nhop := res.PeakThroughput("Nbc"), res.PeakThroughput("NHop"); nbc < nhop*0.9 {
+	if nbc, nhop := peakThroughput(res, "Nbc"), peakThroughput(res, "NHop"); nbc < nhop*0.9 {
 		t.Errorf("Nbc peak %.3f well below NHop %.3f", nbc, nhop)
 	}
 }
