@@ -96,7 +96,7 @@ func main() {
 		opt.Cache = resultCache
 		defer func() {
 			hits, diskHits, misses := resultCache.Stats()
-			fmt.Fprintf(os.Stderr, "experiments: cache: %d hits (%d from disk), %d misses\n", hits, diskHits, misses)
+			fmt.Fprintf(os.Stderr, "experiments: cache: %d hits (%d from disk), %d misses, %d bypassed (observed)\n", hits, diskHits, misses, resultCache.Bypassed())
 		}()
 	}
 

@@ -415,7 +415,7 @@ func runReplications(p wormmesh.Params, reps int, sm *metrics.Sweep, manifest *m
 	writeManifest(manifest, manifestFile, cells)
 	if cache != nil {
 		hits, _, misses := cache.Stats()
-		fmt.Fprintf(os.Stderr, "meshsim: cache: %d hits, %d misses\n", hits, misses)
+		fmt.Fprintf(os.Stderr, "meshsim: cache: %d hits, %d misses, %d bypassed (observed)\n", hits, misses, cache.Bypassed())
 	}
 	fmt.Printf("%d replications of %s (rate %g, %d faults):\n", c.N, p.Algorithm, p.Rate, p.Faults)
 	t := report.NewTable("metric", "mean", "ci95", "std")

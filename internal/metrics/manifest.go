@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -105,67 +104,4 @@ func DigestJSON(v any) (string, error) {
 	h := fnv.New64a()
 	_, _ = h.Write(data)
 	return fmt.Sprintf("fnv1a:%016x", h.Sum64()), nil
-}
-
-// CanonicalDigest is DigestJSON over v's canonical JSON form, the
-// digest to use when v is a *request* rather than a result payload:
-// two encodings of the same configuration must collide. The encoding
-// is re-parsed into generic values and re-encoded, which sorts object
-// keys regardless of field or insertion order, and JSON zero values
-// (null, "", 0, false, empty object/array) are pruned from objects, so
-// an absent field and an explicitly zero one digest identically —
-// exactly the "zero means default" convention the simulator's
-// parameter structs follow. Numbers travel as json.Number, so 64-bit
-// seeds survive the round trip verbatim. Do not use it for payloads
-// where zero and absent mean different things; DigestJSON is the
-// byte-faithful digest.
-func CanonicalDigest(v any) (string, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return "", fmt.Errorf("metrics: canonical digest: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.UseNumber()
-	var g any
-	if err := dec.Decode(&g); err != nil {
-		return "", fmt.Errorf("metrics: canonical digest: %w", err)
-	}
-	g, _ = pruneZero(g)
-	return DigestJSON(g)
-}
-
-// pruneZero canonicalizes a generic JSON value: object members whose
-// values are JSON zeroes vanish, arrays keep their length (elements
-// are positional, only their members are pruned). The second return
-// reports whether the pruned value is itself a JSON zero.
-func pruneZero(v any) (any, bool) {
-	switch x := v.(type) {
-	case nil:
-		return nil, true
-	case bool:
-		return x, !x
-	case string:
-		return x, x == ""
-	case json.Number:
-		f, err := x.Float64()
-		return x, err == nil && f == 0
-	case float64: // only when the caller skipped UseNumber
-		return x, x == 0
-	case []any:
-		for i := range x {
-			x[i], _ = pruneZero(x[i])
-		}
-		return x, len(x) == 0
-	case map[string]any:
-		for k, mv := range x {
-			pv, zero := pruneZero(mv)
-			if zero {
-				delete(x, k)
-				continue
-			}
-			x[k] = pv
-		}
-		return x, len(x) == 0
-	}
-	return v, false
 }

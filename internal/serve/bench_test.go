@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"wormmesh/internal/metrics"
 	"wormmesh/internal/sim"
 )
 
@@ -94,8 +95,9 @@ func BenchmarkServeWarmHit(b *testing.B) {
 }
 
 // BenchmarkServeWarmHitLookup isolates the cache from the HTTP stack:
-// key digest + LRU Get, the path that must be allocation-free after
-// the response buffer (the stored body is returned, not copied).
+// key normalization and digest plus the memory-tier GetTagged, the
+// path that must stay allocation-free after the key (the stored body
+// is returned, not copied).
 func BenchmarkServeWarmHitLookup(b *testing.B) {
 	s, _ := newBenchServer(b)
 	p := benchParams()
@@ -120,10 +122,41 @@ func BenchmarkServeWarmHitLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := s.cache.Get(key); !ok {
+		k, _, err := Key(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, ok := s.cache.GetTagged(k); !ok {
 			b.Fatal("lost the entry")
 		}
 	}
+}
+
+// BenchmarkServeKey is the key alone — normalization plus the
+// streaming canonical digest — next to the reference digest it must
+// equal, which prices what the streaming path saves per request.
+func BenchmarkServeKey(b *testing.B) {
+	p := benchParams()
+	b.Run("streaming", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := Key(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			np, err := Normalize(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := metrics.CanonicalDigestReference(np); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkServeColdMiss measures the end-to-end miss path — schedule,

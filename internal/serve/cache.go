@@ -17,12 +17,15 @@ const (
 	TierDisk   = "disk"
 )
 
-// Cache is the two-tier result cache: an in-memory LRU of decoded
-// entries with their pre-marshaled response bodies, over an optional
-// disk Store. The warm-hit path — Get on a memory-resident key — is a
-// map lookup plus a list splice and allocates nothing, which is what
-// keeps repeated parameter studies at lookup cost. Disk hits are
-// promoted into memory; evicted entries survive on disk.
+// Cache is the two-tier result cache: an in-memory LRU of response
+// bodies (with their decoded entries, once some caller needed one),
+// over an optional disk Store. The warm-hit path — GetTagged on a
+// memory-resident key — is a map lookup plus a list splice and
+// allocates nothing; a disk hit reads and verifies the stored bytes
+// without decoding them. Either way the stored body is served
+// verbatim, which is what keeps repeated parameter studies at lookup
+// cost. Disk hits are promoted into memory; evicted entries survive on
+// disk.
 type Cache struct {
 	mu    sync.Mutex
 	max   int
@@ -37,7 +40,7 @@ type Cache struct {
 
 type cacheItem struct {
 	key   string
-	entry *Entry
+	entry *Entry // nil until a caller that consumes entries decodes body
 	body  []byte // marshaled entry, served verbatim on hits
 }
 
@@ -67,21 +70,16 @@ func OpenDiskCache(dir string, mem int) (*Cache, error) {
 	return NewCache(mem, store, nil), nil
 }
 
-// Get returns the entry and its marshaled body, or ok=false on a miss.
-// Memory hits are allocation-free; disk hits are promoted.
-func (c *Cache) Get(key string) (*Entry, []byte, bool) {
-	e, body, _, ok := c.GetTagged(key)
-	return e, body, ok
-}
-
-// GetTagged is Get plus provenance: tier reports which tier answered
-// ("memory" or "disk", "" on a miss) so handlers can tag spans and
-// response headers, and the per-tier lookup-latency histograms get
-// their observations. Lookup timing is taken only when metrics are
-// attached — a metric-less cache (CLIs, benchmarks) keeps the warm
+// GetTagged is the warm-hit lookup: the marshaled entry for key, and
+// which tier answered ("memory" or "disk", "" on a miss), for handlers
+// that serve the body verbatim and tag spans and response headers with
+// the tier. Nothing is decoded: a memory hit returns the resident
+// bytes, a disk hit the stored bytes once Store.GetBody verified them,
+// promoted undecoded. Lookup timing is taken only when metrics are
+// attached — a metric-less cache (CLIs, benchmarks) keeps the memory
 // path at a map lookup plus a list splice, no clock reads, zero
 // allocations.
-func (c *Cache) GetTagged(key string) (*Entry, []byte, string, bool) {
+func (c *Cache) GetTagged(key string) ([]byte, string, bool) {
 	var start time.Time
 	if c.met != nil {
 		start = time.Now()
@@ -89,35 +87,76 @@ func (c *Cache) GetTagged(key string) (*Entry, []byte, string, bool) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		it := el.Value.(*cacheItem)
+		body := el.Value.(*cacheItem).body
 		c.mu.Unlock()
-		c.hits.Add(1)
-		if c.met != nil {
-			c.met.CacheHits.Inc()
-			c.met.LookupMemSeconds.Observe(time.Since(start).Seconds())
-		}
-		return it.entry, it.body, TierMemory, true
+		c.hit(TierMemory, start)
+		return body, TierMemory, true
 	}
 	c.mu.Unlock()
 
 	if c.store != nil {
-		if e, body, err := c.store.Get(key); err == nil && e != nil {
-			c.insert(key, e, body)
-			c.hits.Add(1)
-			c.diskHits.Add(1)
-			if c.met != nil {
-				c.met.CacheHits.Inc()
-				c.met.DiskHits.Inc()
-				c.met.LookupDiskSeconds.Observe(time.Since(start).Seconds())
-			}
-			return e, body, TierDisk, true
+		if body, err := c.store.GetBody(key); err == nil && body != nil {
+			c.insert(key, nil, body)
+			c.hit(TierDisk, start)
+			return body, TierDisk, true
 		}
 	}
+	c.miss()
+	return nil, "", false
+}
+
+// Get is the lookup for callers that consume the entry (sweep cells,
+// job status, offline sweeps): the decoded entry for key and the tier
+// that answered. A resident body that was promoted undecoded is
+// decoded once and kept; a body that does not decode is a miss.
+func (c *Cache) Get(key string) (*Entry, string, bool) {
+	var start time.Time
+	if c.met != nil {
+		start = time.Now()
+	}
+	if e := c.peek(key); e != nil {
+		c.mu.Lock()
+		if el, ok := c.items[key]; ok {
+			c.ll.MoveToFront(el)
+		}
+		c.mu.Unlock()
+		c.hit(TierMemory, start)
+		return e, TierMemory, true
+	}
+	if c.store != nil {
+		if e, body, err := c.store.Get(key); err == nil && e != nil {
+			c.insert(key, e, body)
+			c.hit(TierDisk, start)
+			return e, TierDisk, true
+		}
+	}
+	c.miss()
+	return nil, "", false
+}
+
+// hit counts a hit on tier and observes its lookup latency.
+func (c *Cache) hit(tier string, start time.Time) {
+	c.hits.Add(1)
+	if tier == TierDisk {
+		c.diskHits.Add(1)
+	}
+	if c.met == nil {
+		return
+	}
+	c.met.CacheHits.Inc()
+	if tier == TierDisk {
+		c.met.DiskHits.Inc()
+		c.met.LookupDiskSeconds.Observe(time.Since(start).Seconds())
+	} else {
+		c.met.LookupMemSeconds.Observe(time.Since(start).Seconds())
+	}
+}
+
+func (c *Cache) miss() {
 	c.misses.Add(1)
 	if c.met != nil {
 		c.met.CacheMisses.Inc()
 	}
-	return nil, nil, "", false
 }
 
 // Has reports presence (memory or disk) without touching the hit/miss
@@ -134,14 +173,32 @@ func (c *Cache) Has(key string) bool {
 }
 
 // peek returns the memory-resident entry for key without touching the
-// counters or the LRU order, or nil — for status polls.
+// counters or the LRU order, decoding (once) a body promoted
+// undecoded; nil when key is not resident or its body does not
+// decode.
 func (c *Cache) peek(key string) *Entry {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		return el.Value.(*cacheItem).entry
+	el, ok := c.items[key]
+	if !ok {
+		c.mu.Unlock()
+		return nil
 	}
-	return nil
+	it := el.Value.(*cacheItem)
+	e, body := it.entry, it.body
+	c.mu.Unlock()
+	if e != nil {
+		return e
+	}
+	e, ok = decodeEntry(body, key)
+	if !ok {
+		return nil
+	}
+	c.mu.Lock()
+	if it.entry == nil {
+		it.entry = e
+	}
+	c.mu.Unlock()
+	return e
 }
 
 // Put files an entry under its key in both tiers and returns the

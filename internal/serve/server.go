@@ -285,7 +285,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.met.Requests.Inc()
 	}
 	ls := span.Child("cache.lookup")
-	_, body, tier, ok := s.cache.GetTagged(key)
+	body, tier, ok := s.cache.GetTagged(key)
 	if ok {
 		ls.Set("tier", tier)
 	}
@@ -314,12 +314,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Wait {
 		<-job.Done()
-		entry, body, err := job.Outcome()
+		_, body, err := job.Outcome()
 		if err != nil {
 			httpError(w, r, http.StatusInternalServerError, "simulation failed: %v", err)
 			return
 		}
-		_ = entry
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", "miss")
 		w.Write(body)
@@ -506,7 +505,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		cs.Set("key", pl.cell.Key)
 		cs.Set("algorithm", pl.cell.Algorithm)
 		cs.Set("rate", pl.cell.Rate)
-		if entry, _, tier, ok := s.cache.GetTagged(pl.cell.Key); ok {
+		if entry, tier, ok := s.cache.Get(pl.cell.Key); ok {
 			cs.Set("tier", tier)
 			cs.End()
 			resp.Cells = append(resp.Cells, sweepCellStatus{

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -114,8 +115,8 @@ func (e *Entry) Result() sim.Result {
 // atomically (temp file + rename) so a crashed or concurrent writer can
 // never leave a torn file behind — a reader sees the old bytes, the new
 // bytes, or no file. Corruption of any kind (truncation, bit rot, a
-// foreign file under our name) degrades to a cache miss: Get verifies
-// the decoded entry's key matches the file it came from.
+// foreign file under our name) degrades to a cache miss: a body is
+// served only once it is verified to be the entry filed under its key.
 type Store struct {
 	dir string
 }
@@ -134,23 +135,69 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, strings.ReplaceAll(key, ":", "-")+".json")
 }
 
-// Get reads the entry for key. Misses and unreadable/corrupt files both
-// return (nil, nil, nil): the caller recomputes, and the next Put
-// overwrites the bad file. The raw bytes are returned alongside so the
-// memory tier can serve them without re-marshaling.
-func (s *Store) Get(key string) (*Entry, []byte, error) {
+// GetBody reads the stored body for key without decoding the entry —
+// the warm-hit path, which serves the bytes verbatim. Misses and
+// unreadable or corrupt files both return (nil, nil): the caller
+// recomputes, and the next Put overwrites the bad file.
+func (s *Store) GetBody(key string) ([]byte, error) {
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil, nil
+			return nil, nil
 		}
-		return nil, nil, fmt.Errorf("serve: store: %w", err)
+		return nil, fmt.Errorf("serve: store: %w", err)
 	}
+	if !bodyIsEntryFor(data, key) {
+		return nil, nil // corrupt or foreign: treat as a miss
+	}
+	return data, nil
+}
+
+// bodyIsEntryFor verifies a stored body without decoding the entry: it
+// must open with key's "key" member — Entry marshals Key first, so
+// every body the store wrote does — and be one valid JSON document
+// whose "key" decodes to key (a later member spelling the name again
+// would win in a decode). The check scans the body and decodes one
+// string field, against a full Entry decode.
+func bodyIsEntryFor(body []byte, key string) bool {
+	const open = `{"key":"`
+	rest, ok := bytes.CutPrefix(body, []byte(open))
+	if !ok || !bytes.HasPrefix(rest, []byte(key)) {
+		return false
+	}
+	rest = rest[len(key):]
+	if len(rest) < 2 || rest[0] != '"' || (rest[1] != ',' && rest[1] != '}') {
+		return false
+	}
+	var k struct {
+		Key string `json:"key"`
+	}
+	return json.Unmarshal(body, &k) == nil && k.Key == key
+}
+
+// Get reads and decodes the entry for key, for callers that consume
+// the entry rather than serve its body; the verified raw bytes are
+// returned alongside. A body that fails to decode is a miss too.
+func (s *Store) Get(key string) (*Entry, []byte, error) {
+	data, err := s.GetBody(key)
+	if data == nil {
+		return nil, nil, err
+	}
+	e, ok := decodeEntry(data, key)
+	if !ok {
+		return nil, nil, nil
+	}
+	return e, data, nil
+}
+
+// decodeEntry decodes a verified body; ok is false when it does not
+// decode into the entry for key.
+func decodeEntry(body []byte, key string) (*Entry, bool) {
 	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil || e.Key != key {
-		return nil, nil, nil // corrupt or foreign: treat as a miss
+	if err := json.Unmarshal(body, &e); err != nil || e.Key != key {
+		return nil, false
 	}
-	return &e, data, nil
+	return &e, true
 }
 
 // Put writes body (the marshaled entry) under key atomically.

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"sync/atomic"
+
 	"wormmesh/internal/sim"
 	"wormmesh/internal/sweep"
 )
@@ -13,8 +15,11 @@ import (
 // bypass Lookup (the caller wants the side effects, not just the
 // Stats) but still Store their results: observation never perturbs
 // Stats, so the entry is valid for future observer-free requests.
+// Bypassed lookups are counted apart from hits and misses, so a study
+// whose every cell is observed does not report an idle cache.
 type SweepCache struct {
-	cache *Cache
+	cache    *Cache
+	bypassed atomic.Int64
 }
 
 // NewSweepCache wraps a result cache for sweep use.
@@ -30,9 +35,10 @@ func observed(p sim.Params) bool {
 // Lookup implements sweep.Cache.
 func (sc *SweepCache) Lookup(p sim.Params) (sim.Result, bool) {
 	if observed(p) {
+		sc.bypassed.Add(1)
 		return sim.Result{}, false
 	}
-	key, np, err := Key(p)
+	key, _, err := Key(p)
 	if err != nil {
 		return sim.Result{}, false
 	}
@@ -45,7 +51,6 @@ func (sc *SweepCache) Lookup(p sim.Params) (sim.Result, bool) {
 	// quantities like NormalizedThroughput see the topology they asked
 	// about; Stats are identical by the normalization contract.
 	res.Params = p
-	_ = np
 	return res, true
 }
 
@@ -67,5 +72,9 @@ func (sc *SweepCache) Store(p sim.Params, r sim.Result) {
 func (sc *SweepCache) Stats() (hits, diskHits, misses int64) {
 	return sc.cache.Stats()
 }
+
+// Bypassed counts the lookups that skipped the cache because their
+// point was observed; they are neither hits nor misses.
+func (sc *SweepCache) Bypassed() int64 { return sc.bypassed.Load() }
 
 var _ sweep.Cache = (*SweepCache)(nil)

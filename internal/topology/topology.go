@@ -170,12 +170,20 @@ type Topology interface {
 }
 
 // Make constructs the named topology backend. The empty string selects
-// the mesh, matching the pre-topology-flag default.
+// the mesh, matching the pre-topology-flag default. Dimensions New or
+// NewTorus would panic on are an error here, so request input (a
+// meshserve body) cannot panic its handler.
 func Make(kind string, width, height int) (Topology, error) {
 	switch kind {
 	case "", "mesh":
+		if width < 2 || height < 2 {
+			return nil, fmt.Errorf("topology: mesh dimensions must be >= 2, got %dx%d", width, height)
+		}
 		return New(width, height), nil
 	case "torus":
+		if width < 3 || height < 3 {
+			return nil, fmt.Errorf("topology: torus dimensions must be >= 3, got %dx%d", width, height)
+		}
 		return NewTorus(width, height), nil
 	}
 	return nil, fmt.Errorf("topology: unknown kind %q (want mesh or torus)", kind)
