@@ -24,7 +24,7 @@ func BenchmarkPredict(b *testing.B) {
 // the point of the cached tables.
 func BenchmarkPredictFaulted(b *testing.B) {
 	mo := Default()
-	fm, err := mo.WithFaults("Minimal-Adaptive", fig6Block(b, mo.Topo), 24)
+	fm, err := mo.WithFaults(fig6Block(b, mo.Topo))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func BenchmarkWithFaults(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mo.WithFaults("Minimal-Adaptive", f, 24); err != nil {
+		if _, err := mo.WithFaults(f); err != nil {
 			b.Fatal(err)
 		}
 	}

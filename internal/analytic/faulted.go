@@ -3,7 +3,7 @@ package analytic
 // This file is the faulted-mesh extension: WithFaults swaps the
 // model's load anatomy from the routing-independent bisection cuts
 // onto exact per-channel loads over the fortified route set
-// (routing.RouteLoads), so f-ring detour channels pick up the
+// (routing.Loads), so f-ring detour channels pick up the
 // displaced load and the contention terms see the true bottlenecks.
 // The M/G/1 superstructure — VC-occupancy fixed point, ejection and
 // source queues, single-γ calibration — is shared with the fault-free
@@ -102,16 +102,18 @@ func (ft *faultedTables) meanSourceWait(rate, scale, l, netLatency, cv2 float64)
 	return total / float64(nSrc)
 }
 
-// WithFaults returns a copy of the model bound to one (algorithm,
-// fault pattern, VC count) cell: predictions evaluate the fortified
-// route set's exact channel loads instead of the fault-free cuts. The
-// fault model must be built over the same topology the model carries.
+// WithFaults returns a copy of the model bound to one fault pattern:
+// predictions evaluate the BC-fortified route set's exact channel loads
+// instead of the fault-free cuts. The fault model must be built over
+// the same topology the model carries.
 //
-// A fault-free model is returned unchanged (the cut loads are exact
-// and routing-independent there). Unsupported combinations — non-mesh
-// topologies, algorithms outside the BC fortification (Boura-FT) —
-// return an error satisfying errors.Is(err, ErrUnsupported).
-func (mo Model) WithFaults(algorithm string, f *fault.Model, numVCs int) (Model, error) {
+// The route set is the fortification's and reads no base algorithm, so
+// one faulted model serves every algorithm routing.LoadsSupported
+// accepts; gating the others (Boura-FT) is the caller's job. A
+// fault-free model is returned unchanged (the cut loads are exact and
+// routing-independent there). Non-mesh topologies return an error
+// satisfying errors.Is(err, ErrUnsupported).
+func (mo Model) WithFaults(f *fault.Model) (Model, error) {
 	if f == nil {
 		return mo, fmt.Errorf("analytic: nil fault model")
 	}
@@ -124,10 +126,7 @@ func (mo Model) WithFaults(algorithm string, f *fault.Model, numVCs int) (Model,
 	if f.FaultCount() == 0 {
 		return mo, nil
 	}
-	if !routing.LoadsSupported(algorithm) {
-		return mo, fmt.Errorf("%w: algorithm %s routes around faults outside the BC fortification", ErrUnsupported, algorithm)
-	}
-	lm, err := routing.RouteLoads(algorithm, f, numVCs)
+	lm, err := routing.Loads(f)
 	if err != nil {
 		return mo, err
 	}

@@ -34,17 +34,13 @@ func TestWithFaultsGating(t *testing.T) {
 	mo := Default()
 	f := fig6Block(t, mo.Topo)
 
-	if _, err := mo.WithFaults("Boura-FT", f, 24); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("Boura-FT: err = %v, want ErrUnsupported", err)
-	}
-
 	tor, err := topology.Make("torus", 10, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tm := mo
 	tm.Topo = tor
-	if _, err := tm.WithFaults("PHop", fault.None(tor), 24); !errors.Is(err, ErrUnsupported) {
+	if _, err := tm.WithFaults(fault.None(tor)); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("torus: err = %v, want ErrUnsupported", err)
 	}
 	if _, err := tm.Predict(0.001); !errors.Is(err, ErrUnsupported) {
@@ -52,7 +48,7 @@ func TestWithFaultsGating(t *testing.T) {
 	}
 
 	// Fault-free: the cut path is exact, so the model is unchanged.
-	ff, err := mo.WithFaults("Minimal-Adaptive", fault.None(mo.Topo), 24)
+	ff, err := mo.WithFaults(fault.None(mo.Topo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +56,7 @@ func TestWithFaultsGating(t *testing.T) {
 		t.Error("fault-free WithFaults produced a faulted model")
 	}
 
-	fm, err := mo.WithFaults("Minimal-Adaptive", f, 24)
+	fm, err := mo.WithFaults(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +70,7 @@ func TestWithFaultsGating(t *testing.T) {
 func TestFaultedPredictShape(t *testing.T) {
 	mo := Default()
 	f := fig6Block(t, mo.Topo)
-	fm, err := mo.WithFaults("Minimal-Adaptive", f, 24)
+	fm, err := mo.WithFaults(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +112,7 @@ func TestFaultedPredictShape(t *testing.T) {
 // one rate reproduces the measurement there.
 func TestFaultedCalibrate(t *testing.T) {
 	mo := Default()
-	fm, err := mo.WithFaults("Nbc", fig6Block(t, mo.Topo), 24)
+	fm, err := mo.WithFaults(fig6Block(t, mo.Topo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +159,7 @@ func TestFaultedModelAgainstSimulator(t *testing.T) {
 		{"10-random", genFaults(t, m, 10, 13)},
 	}
 	for _, sc := range scenarios {
-		fm, err := mo.WithFaults("Minimal-Adaptive", sc.faults, 24)
+		fm, err := mo.WithFaults(sc.faults)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
 		}

@@ -17,6 +17,7 @@ type Server struct {
 	Deduplicated *Counter // misses that joined an already in-flight job
 	Rejected     *Counter // submissions refused by queue backpressure (HTTP 429)
 	ModelAnswers *Counter // misses answered provisionally by the analytic surrogate
+	ModelBuilds  *Counter // surrogates built, one per configuration class
 	Simulations  *Counter // simulations the worker fleet completed
 	QueueDepth   *Gauge   // jobs waiting for a worker
 	Running      *Gauge   // jobs currently simulating
@@ -49,6 +50,7 @@ func NewServer(r *Registry) *Server {
 		Deduplicated: r.NewCounter("wormmesh_serve_deduplicated_total", "Misses that joined an identical in-flight job instead of enqueueing."),
 		Rejected:     r.NewCounter("wormmesh_serve_rejected_total", "Submissions refused by queue backpressure (HTTP 429)."),
 		ModelAnswers: r.NewCounter("wormmesh_serve_model_answers_total", "Misses answered provisionally by the analytic surrogate."),
+		ModelBuilds:  r.NewCounter("wormmesh_serve_model_builds_total", "Analytic surrogates built, one per configuration class."),
 		Simulations:  r.NewCounter("wormmesh_serve_simulations_total", "Simulations completed by the worker fleet."),
 		QueueDepth:   r.NewGauge("wormmesh_serve_queue_depth", "Jobs waiting for a worker."),
 		Running:      r.NewGauge("wormmesh_serve_jobs_running", "Jobs currently simulating."),

@@ -116,3 +116,20 @@ func BenchmarkWalk(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLoads prices one route-load walk: every healthy pair of a
+// 10×10 mesh with five random faults (fault seed 1), twice. This is the
+// cost a faulted surrogate build pays once per fault set.
+func BenchmarkLoads(b *testing.B) {
+	f, err := fault.Generate(topology.New(10, 10), 5, rand.New(rand.NewSource(1)), fault.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Loads(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -10,30 +9,23 @@ import (
 	"wormmesh/internal/topology"
 )
 
-// ErrLoadsUnsupported marks an (algorithm, topology, fault) combination
-// the route-load walk cannot model. Today that is any algorithm not
-// built on the Boppana–Chalasani fortification (Boura-FT routes around
-// regions with its own labeling scheme whose detours the walk does not
-// reproduce). Callers gate hybrid/surrogate modes on it with errors.Is.
-var ErrLoadsUnsupported = errors.New("routing: route-load analysis unsupported for this configuration")
-
-// LoadsSupported reports whether RouteLoads can model the named
-// algorithm (independent of topology and fault pattern; those are
-// validated by RouteLoads itself).
+// LoadsSupported reports whether Loads models the named algorithm's
+// traffic: every algorithm built on the Boppana–Chalasani fortification.
+// Boura-FT routes around regions with its own labeling scheme, whose
+// detours the walk does not reproduce.
 func LoadsSupported(name string) bool {
 	return name != "Boura-FT" && Describe(name) != ""
 }
 
-// LoadMap holds the expected per-channel traffic of one fortified
-// algorithm over one fault pattern under uniform traffic, produced by
-// RouteLoads. Loads are per generated message: Loads[c] is the
+// LoadMap holds the expected per-channel traffic of the BC-fortified
+// algorithms over one fault pattern under uniform traffic, produced by
+// Loads. Loads are per generated message: Loads[c] is the
 // probability that a message between a uniformly random healthy ordered
 // pair traverses directed channel c, summed over the pair's possible
 // paths. Multiplying by (message rate per node × healthy nodes ×
 // message length) turns an entry into a flit utilization.
 type LoadMap struct {
-	Topo      topology.Topology
-	Algorithm string
+	Topo topology.Topology
 
 	// Loads is indexed by int(node)*topology.NumDirs + int(dir): the
 	// expected traversals of that directed output channel per message.
@@ -78,36 +70,26 @@ func (lm *LoadMap) PeakLoad() float64 {
 	return peak
 }
 
-// RouteLoads walks every healthy source-destination pair's fortified
-// candidate structure for the named algorithm and accumulates expected
-// channel utilizations: in normal mode a message's probability mass
-// splits uniformly over the healthy minimal directions; when minimal
-// progress is blocked the mass follows the deterministic f-ring detour
-// (orientation scan, chain-end reversal, drift re-detection) exactly as
-// the engine routes it, so f-ring channels pick up the displaced load.
+// Loads walks every healthy source-destination pair through the BC
+// fortification over f and accumulates expected channel utilizations:
+// in normal mode a message's probability mass splits uniformly over the
+// healthy minimal directions; when minimal progress is blocked the mass
+// follows the deterministic f-ring detour (orientation scan, chain-end
+// reversal, drift re-detection) exactly as the engine routes it, so
+// f-ring channels pick up the displaced load.
 //
-// numVCs is validated like a simulation run's (the walk itself is
-// VC-independent, but a cell that cannot be simulated should not be
-// modelable either). Unsupported algorithms return ErrLoadsUnsupported.
-func RouteLoads(name string, f *fault.Model, numVCs int) (*LoadMap, error) {
-	if !LoadsSupported(name) {
-		return nil, fmt.Errorf("%w: algorithm %s", ErrLoadsUnsupported, name)
-	}
-	alg, err := New(name, f, numVCs)
-	if err != nil {
-		return nil, err
-	}
-	w, ok := alg.(*bcWrapper)
-	if !ok {
-		return nil, fmt.Errorf("%w: algorithm %s", ErrLoadsUnsupported, name)
-	}
+// The walk reads the fortification's fault geometry and no base
+// algorithm: every base offers all minimal directions, so the map is
+// the same for every algorithm LoadsSupported accepts, and one walk per
+// fault set serves them all.
+func Loads(f *fault.Model) (*LoadMap, error) {
+	w := &bcWrapper{mesh: f.Topo, faults: f}
 	topo := f.Topo
 	n := topo.NodeCount()
 	lm := &LoadMap{
-		Topo:      topo,
-		Algorithm: name,
-		Loads:     make([]float64, n*int(topology.NumDirs)),
-		Healthy:   f.HealthyCount(),
+		Topo:    topo,
+		Loads:   make([]float64, n*int(topology.NumDirs)),
+		Healthy: f.HealthyCount(),
 	}
 	lm.Pairs = lm.Healthy * (lm.Healthy - 1)
 	if lm.Pairs == 0 {
@@ -150,16 +132,19 @@ func RouteLoads(name string, f *fault.Model, numVCs int) (*LoadMap, error) {
 
 	// Pass 2: per-pair bottlenecks against the now-complete global
 	// loads. The walk is deterministic, so re-running it reproduces
-	// pass 1's per-pair channel masses exactly.
-	lm.PairBottlenecks = make([]float64, 0, lm.Pairs)
+	// pass 1's per-pair channel masses exactly. Destinations again lead
+	// so each ordering is built once; the results land src-major, where
+	// dst is column di of src's row (its own column skipped).
+	perSrc := len(healthy) - 1
+	lm.PairBottlenecks = make([]float64, lm.Pairs)
 	scratch := make([]float64, len(lm.Loads))
 	var touched []int
-	for _, src := range healthy {
-		for _, dst := range healthy {
+	for di, dst := range healthy {
+		lw.setDst(dst)
+		for si, src := range healthy {
 			if src == dst {
 				continue
 			}
-			lw.setDst(dst)
 			touched = touched[:0]
 			lw.walk(src, func(ch int, mass float64, onRing bool) {
 				if scratch[ch] == 0 {
@@ -174,7 +159,11 @@ func RouteLoads(name string, f *fault.Model, numVCs int) (*LoadMap, error) {
 				}
 				scratch[ch] = 0
 			}
-			lm.PairBottlenecks = append(lm.PairBottlenecks, b)
+			col := di
+			if di > si {
+				col--
+			}
+			lm.PairBottlenecks[si*perSrc+col] = b
 		}
 	}
 	return lm, nil

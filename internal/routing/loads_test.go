@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,16 +9,16 @@ import (
 	"wormmesh/internal/topology"
 )
 
-func mustLoads(t *testing.T, name string, f *fault.Model, numVCs int) *LoadMap {
+func mustLoads(t *testing.T, f *fault.Model) *LoadMap {
 	t.Helper()
-	lm, err := RouteLoads(name, f, numVCs)
+	lm, err := Loads(f)
 	if err != nil {
-		t.Fatalf("RouteLoads(%s): %v", name, err)
+		t.Fatalf("Loads: %v", err)
 	}
 	return lm
 }
 
-// Fault-free, every algorithm routes minimally: total expected channel
+// Fault-free, the fortification routes minimally: total expected channel
 // crossings per message must equal the exact mean minimal distance, and
 // no mass may be lost.
 func TestRouteLoadsFaultFreeConservation(t *testing.T) {
@@ -30,30 +29,25 @@ func TestRouteLoadsFaultFreeConservation(t *testing.T) {
 	mad := func(k int) float64 { kk := float64(k); return (kk*kk - 1) / (3 * kk) }
 	want := (mad(8) + mad(8)) * n / (n - 1)
 
-	for _, name := range AlgorithmNames {
-		if !LoadsSupported(name) {
-			continue
-		}
-		lm := mustLoads(t, name, f, 24)
-		sum := 0.0
-		for _, u := range lm.Loads {
-			sum += u
-		}
-		if math.Abs(sum-want) > 1e-9 {
-			t.Errorf("%s: total load %.9f, want mean distance %.9f", name, sum, want)
-		}
-		if math.Abs(lm.MeanHops-want) > 1e-9 {
-			t.Errorf("%s: MeanHops %.9f, want %.9f", name, lm.MeanHops, want)
-		}
-		if lm.RingHops != 0 {
-			t.Errorf("%s: fault-free RingHops = %v, want 0", name, lm.RingHops)
-		}
-		if lm.LostMass > 1e-9 {
-			t.Errorf("%s: lost mass %v", name, lm.LostMass)
-		}
-		if lm.Pairs != len(lm.PairBottlenecks) {
-			t.Errorf("%s: %d pairs but %d bottlenecks", name, lm.Pairs, len(lm.PairBottlenecks))
-		}
+	lm := mustLoads(t, f)
+	sum := 0.0
+	for _, u := range lm.Loads {
+		sum += u
+	}
+	if math.Abs(sum-want) > 1e-9 {
+		t.Errorf("total load %.9f, want mean distance %.9f", sum, want)
+	}
+	if math.Abs(lm.MeanHops-want) > 1e-9 {
+		t.Errorf("MeanHops %.9f, want %.9f", lm.MeanHops, want)
+	}
+	if lm.RingHops != 0 {
+		t.Errorf("fault-free RingHops = %v, want 0", lm.RingHops)
+	}
+	if lm.LostMass > 1e-9 {
+		t.Errorf("lost mass %v", lm.LostMass)
+	}
+	if lm.Pairs != len(lm.PairBottlenecks) {
+		t.Errorf("%d pairs but %d bottlenecks", lm.Pairs, len(lm.PairBottlenecks))
 	}
 }
 
@@ -66,7 +60,7 @@ func TestRouteLoadsFaultFreeConservation(t *testing.T) {
 func TestRouteLoadsFaultFreeSymmetry(t *testing.T) {
 	m := topology.New(6, 6)
 	f := fault.None(m)
-	lm := mustLoads(t, "Minimal-Adaptive", f, 12)
+	lm := mustLoads(t, f)
 	ch := func(x, y int, d topology.Direction) float64 {
 		return lm.Loads[int(m.ID(topology.Coord{X: x, Y: y}))*int(topology.NumDirs)+int(d)]
 	}
@@ -112,37 +106,35 @@ func TestRouteLoadsFaultedDetours(t *testing.T) {
 	}
 	minMean := minSum / float64(pairs)
 
-	for _, name := range []string{"Minimal-Adaptive", "Duato", "Nbc"} {
-		lm := mustLoads(t, name, f, 24)
-		if lm.LostMass > 1e-6 {
-			t.Errorf("%s: lost mass %v", name, lm.LostMass)
-		}
-		if lm.MeanHops <= minMean {
-			t.Errorf("%s: faulted MeanHops %.4f not above minimal mean %.4f", name, lm.MeanHops, minMean)
-		}
-		if lm.RingHops <= 0 {
-			t.Errorf("%s: expected positive ring hops, got %v", name, lm.RingHops)
-		}
-		// Conservation: total crossings = mean hops by construction;
-		// delivered mass per pair must be ≈ 1.
-		sum := 0.0
-		for _, u := range lm.Loads {
-			sum += u
-		}
-		if math.Abs(sum-lm.MeanHops) > 1e-9 {
-			t.Errorf("%s: Σloads %.9f != MeanHops %.9f", name, sum, lm.MeanHops)
-		}
-		// No load may point into a fault region.
-		for id := topology.NodeID(0); int(id) < m.NodeCount(); id++ {
-			for d := topology.Direction(0); d < topology.NumDirs; d++ {
-				u := lm.Loads[int(id)*int(topology.NumDirs)+int(d)]
-				if u == 0 {
-					continue
-				}
-				nb := m.NeighborID(id, d)
-				if nb == topology.Invalid || f.IsFaulty(nb) || f.IsFaulty(id) {
-					t.Fatalf("%s: load %v on channel %v/%v into fault or edge", name, u, m.CoordOf(id), d)
-				}
+	lm := mustLoads(t, f)
+	if lm.LostMass > 1e-6 {
+		t.Errorf("lost mass %v", lm.LostMass)
+	}
+	if lm.MeanHops <= minMean {
+		t.Errorf("faulted MeanHops %.4f not above minimal mean %.4f", lm.MeanHops, minMean)
+	}
+	if lm.RingHops <= 0 {
+		t.Errorf("expected positive ring hops, got %v", lm.RingHops)
+	}
+	// Conservation: total crossings = mean hops by construction;
+	// delivered mass per pair must be ≈ 1.
+	sum := 0.0
+	for _, u := range lm.Loads {
+		sum += u
+	}
+	if math.Abs(sum-lm.MeanHops) > 1e-9 {
+		t.Errorf("Σloads %.9f != MeanHops %.9f", sum, lm.MeanHops)
+	}
+	// No load may point into a fault region.
+	for id := topology.NodeID(0); int(id) < m.NodeCount(); id++ {
+		for d := topology.Direction(0); d < topology.NumDirs; d++ {
+			u := lm.Loads[int(id)*int(topology.NumDirs)+int(d)]
+			if u == 0 {
+				continue
+			}
+			nb := m.NeighborID(id, d)
+			if nb == topology.Invalid || f.IsFaulty(nb) || f.IsFaulty(id) {
+				t.Fatalf("load %v on channel %v/%v into fault or edge", u, m.CoordOf(id), d)
 			}
 		}
 	}
@@ -157,7 +149,7 @@ func TestRouteLoadsRandomFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Generate(%d): %v", faults, err)
 		}
-		lm := mustLoads(t, "Nbc", f, 24)
+		lm := mustLoads(t, f)
 		if lm.LostMass > 1e-6 {
 			t.Errorf("faults=%d: lost mass %v", faults, lm.LostMass)
 		}
@@ -168,19 +160,16 @@ func TestRouteLoadsRandomFaults(t *testing.T) {
 }
 
 func TestRouteLoadsUnsupported(t *testing.T) {
-	m := topology.New(8, 8)
-	f := fault.None(m)
-	if _, err := RouteLoads("Boura-FT", f, 24); !errors.Is(err, ErrLoadsUnsupported) {
-		t.Fatalf("Boura-FT: err = %v, want ErrLoadsUnsupported", err)
-	}
 	if LoadsSupported("Boura-FT") {
 		t.Fatal("LoadsSupported(Boura-FT) = true")
 	}
-	if !LoadsSupported("Minimal-Adaptive") {
-		t.Fatal("LoadsSupported(Minimal-Adaptive) = false")
+	if LoadsSupported("nope") {
+		t.Fatal("LoadsSupported(nope) = true")
 	}
-	if _, err := RouteLoads("Minimal-Adaptive", f, 2); err == nil {
-		t.Fatal("RouteLoads with too few VCs should fail like the simulator")
+	for _, name := range AlgorithmNames {
+		if name != "Boura-FT" && !LoadsSupported(name) {
+			t.Errorf("LoadsSupported(%s) = false", name)
+		}
 	}
 }
 
@@ -189,7 +178,7 @@ func TestRouteLoadsUnsupported(t *testing.T) {
 func TestRouteLoadsPairBottlenecks(t *testing.T) {
 	m := topology.New(6, 6)
 	f := fault.None(m)
-	lm := mustLoads(t, "Minimal-Adaptive", f, 12)
+	lm := mustLoads(t, f)
 	peak := lm.PeakLoad()
 	maxB := 0.0
 	for _, b := range lm.PairBottlenecks {

@@ -149,15 +149,8 @@ func MinVCs(name string, mesh topology.Topology) (int, error) {
 // channels, with all surplus going where the paper assigns it.
 func New(name string, f *fault.Model, numVCs int) (core.Algorithm, error) {
 	mesh := f.Topo
-	if err := SupportsTopology(name, mesh); err != nil {
+	if err := Validate(name, mesh, numVCs); err != nil {
 		return nil, err
-	}
-	minV, err := MinVCs(name, mesh)
-	if err != nil {
-		return nil, err
-	}
-	if numVCs < minV {
-		return nil, fmt.Errorf("routing: %s needs >= %d VCs on %v, got %d", name, minV, mesh, numVCs)
 	}
 	d := mesh.Diameter()
 	phopClasses := d + 1
@@ -206,6 +199,22 @@ func New(name string, f *fault.Model, numVCs int) (core.Algorithm, error) {
 		return newBouraFT(f, 0, half-1, half, 2*half-1, 2*half, 2*half+1), nil
 	}
 	return nil, fmt.Errorf("routing: unknown algorithm %q", name)
+}
+
+// Validate reports why New would refuse the named algorithm on the
+// topology with numVCs virtual channels, or nil if it builds there.
+func Validate(name string, t topology.Topology, numVCs int) error {
+	if err := SupportsTopology(name, t); err != nil {
+		return err
+	}
+	minV, err := MinVCs(name, t)
+	if err != nil {
+		return err
+	}
+	if numVCs < minV {
+		return fmt.Errorf("routing: %s needs >= %d VCs on %v, got %d", name, minV, t, numVCs)
+	}
+	return nil
 }
 
 // MustNew is New for callers with static names; it panics on error.

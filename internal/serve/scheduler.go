@@ -420,17 +420,9 @@ func (s *Scheduler) worker() {
 				"key", j.Key, "trace_id", j.trace.Trace.String(),
 				"elapsed_s", elapsed, "result_digest", entry.ResultDigest)
 		}
-		j.mu.Lock()
-		if err != nil {
-			j.state = JobFailed
-			j.err = err
-		} else {
-			j.state = JobDone
-			j.entry, j.body = entry, body
-		}
-		close(j.done)
-		j.mu.Unlock()
-
+		// Finish the job's bookkeeping before releasing its waiters: a
+		// client holding the result finds the job counted and out of
+		// the in-flight table.
 		s.mu.Lock()
 		delete(s.jobs, j.Key)
 		if err != nil {
@@ -449,6 +441,17 @@ func (s *Scheduler) worker() {
 			}
 		}
 		s.mu.Unlock()
+
+		j.mu.Lock()
+		if err != nil {
+			j.state = JobFailed
+			j.err = err
+		} else {
+			j.state = JobDone
+			j.entry, j.body = entry, body
+		}
+		close(j.done)
+		j.mu.Unlock()
 	}
 }
 

@@ -202,6 +202,30 @@ func TestRunWarmHit(t *testing.T) {
 	}
 }
 
+// TestWaitersSeeJobFinished: a client holding a simulated result finds
+// the job's bookkeeping finished — the simulation counted, nothing
+// running, the key out of the in-flight table — so a metrics window or
+// a /live subscriber that starts after the response never sees a job
+// that finished before it.
+func TestWaitersSeeJobFinished(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Registry: metrics.NewRegistry()})
+	p := quickParams()
+	for i := int64(1); i <= 20; i++ {
+		p.Seed = i
+		key, _, err := Key(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, body := postRun(t, ts.URL, p, true); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		n, running, job := s.met.Simulations.Get(), s.met.Running.Get(), s.sched.Job(key)
+		if n != i || running != 0 || job != nil {
+			t.Fatalf("after %d waited runs: simulations %d, running %d, job still listed %v", i, n, running, job != nil)
+		}
+	}
+}
+
 // TestSingleflight: N concurrent identical misses run exactly one
 // simulation and every caller reads bit-identical bytes. Run under
 // -race in CI.

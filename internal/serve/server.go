@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"wormmesh/internal/analytic"
 	"wormmesh/internal/core"
 	"wormmesh/internal/metrics"
 	"wormmesh/internal/sim"
@@ -61,23 +60,17 @@ type Server struct {
 	logger  *slog.Logger  // never nil (discard by default)
 	started time.Time
 
-	modelMu sync.Mutex
-	models  map[string]cachedModel // key: config-class digest
+	// models memoizes the surrogate per sweep.SurrogateClass: a faulted
+	// build costs ~40 ms and the knee bisection runs 60 Predicts, while
+	// a memoized Predict is microseconds — the difference between a
+	// <1ms fast path and a slow one.
+	models sweep.Surrogates
 
 	sweepMu  sync.Mutex
 	sweeps   map[string]*sweepJob
 	sweepLog []string // FIFO eviction
 
 	mux *http.ServeMux
-}
-
-// cachedModel memoizes a built surrogate with its saturation knee:
-// faulted table builds cost ~0.2s and the knee bisection runs 60
-// Predicts, while a memoized Predict is microseconds — the difference
-// between a <1ms fast path and a multi-ms one.
-type cachedModel struct {
-	model analytic.Model
-	knee  float64
 }
 
 // sweepJob tracks one accepted sweep: the cells it expanded into and
@@ -148,9 +141,11 @@ func New(cfg Config) (*Server, error) {
 		tracer:  tracer,
 		logger:  logger,
 		started: time.Now(),
-		models:  make(map[string]cachedModel),
 		sweeps:  make(map[string]*sweepJob),
 		mux:     http.NewServeMux(),
+	}
+	if met != nil {
+		s.models.OnBuild = met.ModelBuilds.Inc
 	}
 	windowCycles := cfg.WindowCycles
 	if windowCycles == 0 {
@@ -340,38 +335,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // modelAnswer evaluates the analytic surrogate for a normalized cell,
-// or nil where the model doesn't apply (torus, unmodeled algorithms).
-// Models are memoized per configuration class — the Params with rate,
-// seeds and cycle counts zeroed — because a faulted table build costs
-// ~0.2s while a memoized Predict is microseconds, and every rate on one
-// curve shares a class.
+// or nil where the model doesn't apply (torus, unmodeled algorithms, a
+// faulted cell's VC budget the algorithm cannot run on). Every rate of
+// every supported algorithm on one configuration shares a class, so
+// the first miss of a class builds the model and the rest reuse it.
 func (s *Server) modelAnswer(np sim.Params) *ModelAnswer {
-	if sweep.HybridSupported(np) != nil {
-		return nil
-	}
-	class := np
-	class.Rate = 0
-	class.Seed = 0
-	class.WarmupCycles = 0
-	class.MeasureCycles = 0
-	classKey, err := metrics.CanonicalDigest(class)
+	model, knee, err := s.models.Get(np)
 	if err != nil {
 		return nil
 	}
-	s.modelMu.Lock()
-	cm, ok := s.models[classKey]
-	s.modelMu.Unlock()
-	if !ok {
-		model, err := sweep.Surrogate(np)
-		if err != nil {
-			return nil
-		}
-		cm = cachedModel{model: model, knee: model.SaturationRate()}
-		s.modelMu.Lock()
-		s.models[classKey] = cm
-		s.modelMu.Unlock()
-	}
-	model, knee := cm.model, cm.knee
 	ans := &ModelAnswer{Provenance: "model", Knee: knee}
 	if pred, err := model.Predict(np.Rate); err == nil {
 		ans.Latency = Float(pred.Latency)

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"wormmesh/internal/analytic"
-	"wormmesh/internal/routing"
 	"wormmesh/internal/sim"
 )
 
@@ -76,64 +75,17 @@ type HybridCurveResult struct {
 	Simulated            int
 }
 
-// HybridSupported reports whether the analytic surrogate models the
-// given cell, with an error explaining any rejection: callers gate
-// hybrid modes on it instead of silently falling back to simulation.
-func HybridSupported(p sim.Params) error {
-	if p.Topology != "" && p.Topology != "mesh" {
-		return fmt.Errorf("%w: hybrid sweeps model meshes only, not %q", analytic.ErrUnsupported, p.Topology)
-	}
-	if (p.Faults > 0 || p.FaultNodes != nil) && !routing.LoadsSupported(p.Algorithm) {
-		return fmt.Errorf("%w: %s routes around faults outside the BC fortification", analytic.ErrUnsupported, p.Algorithm)
-	}
-	return nil
-}
-
-// Surrogate builds the analytic model matching one cell's parameters
-// (topology, message length, VC budget, fault pattern): the model a
-// hybrid sweep screens that cell's load axis with. Unsupported cells
-// return an error satisfying errors.Is(err, analytic.ErrUnsupported).
-func Surrogate(p sim.Params) (analytic.Model, error) {
-	if err := HybridSupported(p); err != nil {
-		return analytic.Model{}, err
-	}
-	f, err := sim.BuildFaults(p)
-	if err != nil {
-		return analytic.Model{}, err
-	}
-	cfg := p.Config
-	if cfg.NumVCs == 0 {
-		cfg = sim.DefaultEngineConfig()
-	}
-	mo := analytic.Default()
-	mo.Topo = f.Topo
-	mo.MessageLength = p.MessageLength
-	// The BC fortification reserves four ring VCs; the rest is the
-	// free pool the model's occupancy term sees.
-	mo.VirtualChannels = cfg.NumVCs - 4
-	if mo.VirtualChannels < 1 {
-		mo.VirtualChannels = 1
-	}
-	if cfg.EjectBW > 0 {
-		mo.EjectBandwidth = float64(cfg.EjectBW)
-	}
-	if f.FaultCount() > 0 {
-		return mo.WithFaults(p.Algorithm, f, cfg.NumVCs)
-	}
-	return mo, nil
-}
-
 // HybridSweep runs an analytic-guided load sweep: per curve the
-// surrogate screens the rate axis in microseconds, predicts the
-// saturation knee, and schedules flit-level simulation only for the
-// rates bracketing it (plus the straddle pair). The simulated cells go
-// through the same Run worker pool as a full sweep — each worker owns
-// one Runner whose reuse is observably transparent — so their Stats
-// are bit-identical to the full sweep's. Stable-region cells outside
-// the bracket are filled by the surrogate after a single-γ calibration
-// at the lowest simulated stable rate; cells beyond the bracket carry
-// the highest simulated point's plateau. Every point records its
-// provenance in Source.
+// surrogate (built once per SurrogateClass) screens the rate axis in
+// microseconds, predicts the saturation knee, and schedules flit-level
+// simulation only for the rates bracketing it (plus the straddle pair).
+// The simulated cells go through the same Run worker pool as a full
+// sweep — each worker owns one Runner whose reuse is observably
+// transparent — so their Stats are bit-identical to the full sweep's.
+// Stable-region cells outside the bracket are filled by the surrogate
+// after a single-γ calibration at the lowest simulated stable rate;
+// cells beyond the bracket carry the highest simulated point's plateau.
+// Every point records its provenance in Source.
 func HybridSweep(curves []HybridCurve, opt HybridOptions) ([]HybridCurveResult, error) {
 	radius := opt.BracketRadius
 	if radius <= 1 {
@@ -145,6 +97,8 @@ func HybridSweep(curves []HybridCurve, opt HybridOptions) ([]HybridCurveResult, 
 		knee  float64
 		sim   map[float64]bool
 	}
+	// Curves differing only in algorithm or rate share one surrogate.
+	var surrogates Surrogates
 	plans := make([]plan, 0, len(curves))
 	var points []Point
 	for _, c := range curves {
@@ -154,11 +108,10 @@ func HybridSweep(curves []HybridCurve, opt HybridOptions) ([]HybridCurveResult, 
 		if !sort.Float64sAreSorted(c.Rates) {
 			return nil, fmt.Errorf("sweep: hybrid curve %q rates not ascending", c.Key)
 		}
-		model, err := Surrogate(c.Base)
+		model, knee, err := surrogates.Get(c.Base)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: curve %q: %w", c.Key, err)
 		}
-		knee := model.SaturationRate()
 		simSet := map[float64]bool{}
 		var below, above float64
 		haveBelow, haveAbove := false, false
